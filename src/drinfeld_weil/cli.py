@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
 from .errors import (BadCharacteristic, NotATree, NotInvertibleModF,
                      NotTorsion, PoleOnModulus, SplittingFieldTooLarge,
                      TruncationTooShallow)
-from .fields import FiniteField, embed, is_prime, make_field
+from .fields import FiniteField, embed, make_field
 from .modules import DrinfeldModule, torsion_basis
 from .pairing import weil_pairing
 from .polys import PolyRing
@@ -45,17 +46,14 @@ def _parse_ints(text: str):
 
 
 def _factor_prime_power(q: int):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            if not is_prime(p):
-                raise UsageError(f"{q} is not a prime power")
-            e = 0
-            qq = q
-            while qq % p == 0:
-                qq //= p
-                e += 1
-            if qq != 1:
-                raise UsageError(f"{q} is not a prime power")
+    """(p, e) with q = p^e; the least divisor up to sqrt(q) is p, else q is prime."""
+    if q >= 2:
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        e, rest = 0, q
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        if rest == 1:
             return p, e
     raise UsageError(f"{q} is not a prime power")
 

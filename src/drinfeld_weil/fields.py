@@ -105,29 +105,46 @@ def _is_irreducible(m, p):
     for k in range(1, d + 1):
         frob = _ppow_mod(frob, p, m, p)
         powers[k] = frob
-    xd = list(powers[d])
-    diff_d = _trim([((xd[i] if i < len(xd) else 0) - (1 if i == 1 else 0)) % p
-                    for i in range(max(len(xd), 2))])
-    if _pmod(diff_d, m, p):
+    if _pmod(_minus_y(powers[d], p), m, p):
         return False
     for ell in _prime_divisors(d):
-        xk = powers[d // ell]
-        diff = _trim([((xk[i] if i < len(xk) else 0) - (1 if i == 1 else 0)) % p
-                      for i in range(max(len(xk), 2))])
-        g = _pgcd(list(m), diff, p)
+        g = _pgcd(list(m), _minus_y(powers[d // ell], p), p)
         if len(g) - 1 != 0:
             return False
     return True
+
+
+def _minus_y(a, p):
+    """a - y, trimmed."""
+    a = list(a) + [0] * (2 - len(a))
+    a[1] = (a[1] - 1) % p
+    return _trim(a)
+
+
+def _has_root(m, p):
+    """Whether m has a root in F_p: gcd(m, y^p - y) is not constant.
+    The cost does not grow with p, unlike evaluating m at every a."""
+    return len(_pgcd(list(m), _minus_y(_ppow_mod([0, 1], p, m, p), p), p)) > 1
 
 
 def _smallest_irreducible(p, e):
     """Lexicographically smallest monic irreducible of degree e over F_p.
 
     Coefficient tuples (a_0, ..., a_{e-1}) are compared left to right.
+    For e >= 2 a candidate with a root in F_p has a linear factor, so the
+    a_0 = 0 block (root 0) and every candidate with a root are skipped
+    before the full test; the first survivor is the same polynomial.
     """
-    for low in itertools.product(range(p), repeat=e):
-        m = list(low) + [1]
-        if _is_irreducible(m, p):
+    if e == 1:
+        return [0, 1]
+    # n runs over the base-p numerals a_0 a_1 ... a_{e-1} with a_0 >= 1
+    for n in range(p ** (e - 1), p ** e):
+        m = [1]
+        for _ in range(e):
+            n, a = divmod(n, p)
+            m.append(a)
+        m.reverse()
+        if not _has_root(m, p) and _is_irreducible(m, p):
             return m
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
@@ -251,11 +268,12 @@ class FiniteField:
             raise ValueError("extension degree must be >= 1")
         if modulus is None:
             modulus = _smallest_irreducible(p, e)
-        modulus = [c % p for c in modulus]
-        if len(modulus) != e + 1 or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of degree e")
-        if not _is_irreducible(modulus, p):
-            raise ValueError("modulus is reducible")
+        else:
+            modulus = [c % p for c in modulus]
+            if len(modulus) != e + 1 or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of degree e")
+            if not _is_irreducible(modulus, p):
+                raise ValueError("modulus is reducible")
         self.p = p
         self.e = e
         self.modulus = tuple(modulus)

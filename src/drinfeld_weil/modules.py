@@ -3,9 +3,10 @@
 A module of rank r is the F_q-algebra map sending x to
 phi_x = theta + g_1 tau + ... + g_r tau^r with g_r nonzero, tau the
 q-power Frobenius.  Finite bases F_{q^m} support torsion computation
-(the kernel of phi_f found by exact F_q-linear algebra inside an
-explicitly built splitting extension); the rational base F_q(theta)
-supports the exponential coefficients used by generating functions.
+(the splitting degree s read off tau^m modulo phi_f, then the kernel of
+phi_f found by exact F_q-linear algebra inside the one extension
+F_{q^{ms}}); the rational base F_q(theta) supports the exponential
+coefficients used by generating functions.
 
 The exponential data stores e_i = 1/D_i (so that e_i = 0 is allowed,
 e.g. when g_1 = 0) with e_0 = 1 and
@@ -64,10 +65,6 @@ class DrinfeldModule:
         for c in reversed(a.coeffs):
             acc = acc * tw_x + TwistedPoly(self.base, self.q, [self.embed_scalars(c)])
         return acc
-
-    def phi_apply(self, a, mu):
-        """phi_a evaluated at mu (the diamond action of a(x))."""
-        return self.phi_of(a).apply(mu)
 
     def exterior(self) -> "DrinfeldModule":
         """Rank-one module theta + (-1)^(r-1) g_r tau."""
@@ -167,8 +164,10 @@ def characteristic_poly(M: DrinfeldModule) -> UniPoly:
     return M.x_ring().poly(coeffs)
 
 
-def _kernel_in_field(M_big: DrinfeldModule, f: UniPoly, rel: RelativeBasis):
-    """F_q-basis of ker(phi_f) inside the given base field of M_big."""
+def kernel_in_field(M_big: DrinfeldModule, f: UniPoly, rel: RelativeBasis):
+    """F_q-basis of ker(phi_f) inside the base field of M_big, read through
+    the relative basis rel (which may belong to a larger module's splitting
+    field, as for the exterior module)."""
     phi_f = M_big.phi_of(f)
     big = M_big.base
     dim = rel.dim
@@ -182,11 +181,33 @@ def _kernel_in_field(M_big: DrinfeldModule, f: UniPoly, rel: RelativeBasis):
     return [rel.lift(vec) for vec in kernel]
 
 
-def torsion_basis(M: DrinfeldModule, f: UniPoly, s_cap: int = 12) -> TorsionBasis:
-    """Least splitting extension F_{q^{ms}} where phi_f has full kernel.
+def splitting_degree(M: DrinfeldModule, f: UniPoly, s_cap: int) -> int:
+    """Least s <= s_cap with ker(phi_f) inside F_{q^{ms}}, K = F_{q^m} the base.
 
-    Candidate extensions are scanned in increasing degree; the result is
-    the smallest s whose kernel reaches F_q-dimension r * deg f."""
+    For separable phi_f (gcd(f, A-characteristic) = 1) the kernel lies in
+    F_{q^{ms}} exactly when phi_f right-divides tau^{ms} - 1 (Goss, Basic
+    Structures of Function Field Arithmetic, ch. 1).  tau^m fixes K, so it
+    is central in K{tau}: each step shifts the remainder by m and reduces
+    it once mod K{tau} phi_f.  Raises SplittingFieldTooLarge past s_cap."""
+    if not isinstance(M.base, FiniteField):
+        raise ValueError("splitting degree requires a finite A-field base")
+    phi_f = M.phi_of(f)
+    m = M.base.e // M.q_field.e
+    zero, one = M.base.zero(), M.base.one()
+    target = TwistedPoly(M.base, M.q, [one]) % phi_f
+    rem = target
+    for s in range(1, s_cap + 1):
+        rem = TwistedPoly(M.base, M.q, [zero] * m + list(rem.coeffs)) % phi_f
+        if rem == target:
+            return s
+    raise SplittingFieldTooLarge(f"no splitting field found with s <= {s_cap}")
+
+
+def torsion_basis(M: DrinfeldModule, f: UniPoly, s_cap: int = 12) -> TorsionBasis:
+    """f-torsion of M in its least splitting extension F_{q^{ms}}.
+
+    s comes from splitting_degree, so exactly one extension is built, and
+    s_cap bounds that field: s > s_cap raises SplittingFieldTooLarge."""
     if not isinstance(M.base, FiniteField):
         raise ValueError("torsion requires a finite A-field base")
     if not f.is_monic():
@@ -194,28 +215,21 @@ def torsion_basis(M: DrinfeldModule, f: UniPoly, s_cap: int = 12) -> TorsionBasi
     char = characteristic_poly(M)
     if poly_gcd(f, char).degree != 0:
         raise BadCharacteristic(f"f shares the factor gcd(f, {char}) with the A-characteristic")
-    want = M.rank * int(f.degree)
+    s = splitting_degree(M, f, s_cap)
     base = M.base
-    for s in range(1, s_cap + 1):
-        big = base if s == 1 else make_field(base.p, base.e * s)
-        emb_base = embed(base, big)
-        comp = (lambda eb: (lambda c: eb(M.embed_scalars(c))))(emb_base)
-        rel = RelativeBasis(big, M.q_field, comp)
-        M_ext = DrinfeldModule(M.q_field, big, emb_base(M.theta),
-                               [emb_base(gi) for gi in M.g], comp)
-        points = _kernel_in_field(M_ext, f, rel)
-        if len(points) == want:
-            return TorsionBasis(M, M_ext, big, emb_base, rel, points, f, s)
-        if len(points) > want:
-            raise AssertionError("kernel larger than the torsion rank allows")
-    raise SplittingFieldTooLarge(f"no splitting field found with s <= {s_cap}")
+    big = base if s == 1 else make_field(base.p, base.e * s)
+    emb_base = embed(base, big)
 
+    def comp(c):
+        return emb_base(M.embed_scalars(c))
 
-def kernel_in_splitting_field(M_like: DrinfeldModule, f: UniPoly, rel: RelativeBasis):
-    """Kernel of phi_f for a module already living in a chosen field
-    (used to locate the exterior module's torsion inside the splitting
-    field of the original module)."""
-    return _kernel_in_field(M_like, f, rel)
+    rel = RelativeBasis(big, M.q_field, comp)
+    M_ext = DrinfeldModule(M.q_field, big, emb_base(M.theta),
+                           [emb_base(gi) for gi in M.g], comp)
+    points = kernel_in_field(M_ext, f, rel)
+    if len(points) != M.rank * int(f.degree):
+        raise AssertionError("kernel dimension disagrees with the splitting degree")
+    return TorsionBasis(M, M_ext, big, emb_base, rel, points, f, s)
 
 
 def a_module_basis(tb: TorsionBasis):

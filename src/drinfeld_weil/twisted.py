@@ -86,6 +86,29 @@ class TwistedPoly:
             n >>= 1
         return result
 
+    def __mod__(self, other):
+        """Remainder of right division: self = Q * other + R, deg R < deg other.
+
+        R is self mod the left ideal K{tau} other; each step cancels the
+        top term with c tau^k * other, where c tau^k * d tau^j = c d^(q^k) tau^(k+j).
+        """
+        other = self._check(other)
+        if other.is_zero():
+            raise ZeroDivisionError("twisted remainder by zero")
+        n = len(other.coeffs) - 1
+        out = list(self.coeffs)
+        while len(out) > n:
+            k = len(out) - 1 - n
+            qk = self.q ** k
+            c = out[-1] / other.coeffs[-1] ** qk
+            for j, d in enumerate(other.coeffs[:-1]):
+                if not d.is_zero():
+                    out[k + j] = out[k + j] - c * d ** qk
+            out.pop()
+            while out and out[-1].is_zero():
+                out.pop()
+        return TwistedPoly(self.field, self.q, out)
+
     def apply(self, mu):
         """Evaluate as the additive polynomial sum c_i mu^(q^i)."""
         acc = None

@@ -20,7 +20,7 @@ from . import weil_ops as W
 from .fields import make_field, embed
 from .linalg import rank as mat_rank
 from .modules import (DrinfeldModule, a_module_basis, exp_coeffs,
-                      kernel_in_splitting_field, torsion_basis)
+                      kernel_in_field, torsion_basis)
 from .multipoly import MPolyRing
 from .polys import (FracField, PolyRing, is_irreducible_poly, lift_poly,
                     poly_gcd)
@@ -611,7 +611,7 @@ def suite_pairing_axioms(seed=0, cases=None) -> dict:
         # surjectivity and nondegeneracy at desk scale: the value set is
         # exactly ker(psi_x) in the splitting field, and every basis
         # pair maps to a generator (nonzero, for n = 1)
-        kernel_pts = kernel_in_splitting_field(psi, x, tb.rel)
+        kernel_pts = kernel_in_field(psi, x, tb.rel)
         psi_tor = set()
         qf = M.q_field
         for combo in itertools.product(list(qf.elements()), repeat=len(kernel_pts)):

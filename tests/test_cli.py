@@ -1,4 +1,5 @@
 import json
+import time
 
 from drinfeld_weil.cli import main
 
@@ -33,6 +34,53 @@ def test_weil_op_malformed_input(capsys):
     assert run_cli(capsys, "weil-op", "--q", "3", "--f", "1,0", "--rank", "2")[0] == 2
     assert run_cli(capsys, "weil-op", "--q", "6", "--f", "0,1", "--rank", "2")[0] == 2
     assert run_cli(capsys, "weil-op", "--q", "3", "--f", "zzz", "--rank", "2")[0] == 2
+
+
+def test_weil_op_large_prime_q_is_fast(capsys):
+    # trial division stops at sqrt(q), so a nine-digit prime q answers at once
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "weil-op", "--q", "100000007", "--f", "1,0,1",
+                           "--rank", "2")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and out.strip() == "X1 + X2"
+
+
+def test_q_not_a_prime_power_exit_2(capsys):
+    for q in ("12", "1", "0", "-4", "200000014"):
+        code, _, err = run_cli(capsys, "weil-op", "--q", q, "--f", "1,0,1",
+                               "--rank", "2")
+        assert code == 2
+        assert err == f"error: {q} is not a prime power\n"
+    code, out, _ = run_cli(capsys, "weil-op", "--q", "8", "--f", "1,0,1", "--rank", "2")
+    assert code == 0 and out.strip() == "X1 + X2"
+
+
+def test_torsion_splitting_field_too_large_fails_fast(capsys):
+    # rank 2 with a cubic f: the true splitting degree is far beyond the cap
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "torsion", "--q", "3", "--theta", "1",
+                             "--g", "1", "--g", "1", "--f", "1,2,0,1")
+    assert time.perf_counter() - t0 < 2.0
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("SplittingFieldTooLarge: ")
+
+
+def test_torsion_f9_degree_six_extension(capsys):
+    code, out, _ = run_cli(capsys, "torsion", "--q", "3", "--field-ext", "2",
+                           "--theta", "0,1", "--g", "1", "--g", "1", "--f", "0,1")
+    assert code == 0
+    assert json.loads(out)["s"] == 6
+    assert out == F9_RANK2_TORSION
+
+
+# The extension scan's output for the command above, which built every
+# GF(3^(2s)) for s = 1..6 on its way to the answer.
+F9_RANK2_TORSION = (
+    '{"module": {"field": {"p": 3, "e": 2, "modulus": [1, 0, 1]}, "q": 3, '
+    '"theta": [0, 1], "g": [[1, 0], [1, 0]]}, "f": [0, 1], "splitting_field": '
+    '{"p": 3, "e": 12, "modulus": [1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1]}, '
+    '"s": 6, "cardinality": 9, "basis": [[2, 1, 0, 1, 2, 0, 1, 1, 2, 2, 1, 0], '
+    '[0, 2, 2, 2, 2, 2, 0, 2, 1, 0, 0, 1]]}\n')
 
 
 def test_torsion_carlitz_f4(capsys):

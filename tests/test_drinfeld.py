@@ -1,10 +1,14 @@
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from drinfeld_weil import (DrinfeldModule, FracField, PolyRing, TwistedPoly,
                            embed, exp_coeffs, make_field, torsion_basis,
                            twisted_mul)
 from drinfeld_weil.errors import BadCharacteristic, SplittingFieldTooLarge
-from drinfeld_weil.modules import a_module_basis, characteristic_poly
+from drinfeld_weil.fields import RelativeBasis
+from drinfeld_weil.modules import (a_module_basis, characteristic_poly,
+                                   kernel_in_field, splitting_degree)
+from drinfeld_weil.polys import poly_gcd
 from drinfeld_weil.pairing import moore_det
 
 F2 = make_field(2)
@@ -74,8 +78,8 @@ def test_phi_apply_carlitz():
     x = M.x_ring().gen()
     theta = F4.gen()
     for mu in F4.elements():
-        assert M.phi_apply(x, mu) == theta * mu + mu * mu
-        assert M.phi_apply(M.x_ring().one(), mu) == mu
+        assert M.phi_of(x).apply(mu) == theta * mu + mu * mu
+        assert M.phi_of(M.x_ring().one()).apply(mu) == mu
 
 
 def test_torsion_carlitz_f4():
@@ -201,3 +205,121 @@ def test_a_module_basis_spans():
             img = tb.module_ext.phi_of(dual_map(f, j)).apply(mu)
             rows.append(tb.rel.coords(img))
     assert mat_rank(rows, F2) == 4
+
+
+def _elems(field):
+    return st.lists(st.integers(0, field.p - 1), min_size=field.e,
+                    max_size=field.e).map(field.elem)
+
+
+def _twisted(field, q, max_deg):
+    return st.lists(_elems(field), max_size=max_deg + 1).map(
+        lambda cs: TwistedPoly(field, q, cs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_twisted_remainder_is_right_division(data):
+    field, q = data.draw(st.sampled_from([(F4, 2), (F9, 3), (F9, 9)]))
+    d = data.draw(_twisted(field, q, 3))
+    assume(not d.is_zero())
+    quo = data.draw(_twisted(field, q, 3))
+    r = data.draw(_twisted(field, q, max(d.degree - 1, -1)))
+    assert (quo * d + r) % d == r
+    a = data.draw(_twisted(field, q, 6))
+    rem = a % d
+    assert rem.is_zero() or rem.degree < d.degree
+    assert ((a - rem) % d).is_zero()
+
+
+def test_twisted_remainder_examples():
+    tau = tw(F4, 2, [0, 1])
+    y = F4.gen()
+    # tau^2 = (tau + y^2)(tau + y) + y^3 in characteristic 2
+    assert (tau * tau) % (tau + tw(F4, 2, [y])) == tw(F4, 2, [y ** 3])
+    assert tau % tau == tw(F4, 2, [])
+    with pytest.raises(ZeroDivisionError):
+        tau % tw(F4, 2, [])
+
+
+def _scan_splitting(M, f, s_cap):
+    """The extension scan: least s whose field F_{q^{ms}} holds the full
+    kernel of phi_f, found by building every field up to it."""
+    base = M.base
+    want = M.rank * int(f.degree)
+    for s in range(1, s_cap + 1):
+        big = base if s == 1 else make_field(base.p, base.e * s)
+        emb_base = embed(base, big)
+        comp = (lambda eb: (lambda c: eb(M.embed_scalars(c))))(emb_base)
+        rel = RelativeBasis(big, M.q_field, comp)
+        M_ext = DrinfeldModule(M.q_field, big, emb_base(M.theta),
+                               [emb_base(gi) for gi in M.g], comp)
+        points = kernel_in_field(M_ext, f, rel)
+        if len(points) == want:
+            return s, points
+    return None, None
+
+
+@st.composite
+def _finite_modules(draw):
+    q = draw(st.sampled_from([2, 3]))
+    m = draw(st.sampled_from([1, 2]))
+    qf = make_field(q)
+    base = qf if m == 1 else make_field(q, m)
+    emb = embed(qf, base)
+    theta = draw(_elems(base))
+    g = draw(st.lists(_elems(base), min_size=1, max_size=3))
+    assume(not g[-1].is_zero())
+    M = DrinfeldModule(qf, base, theta, g, emb)
+    n = draw(st.integers(1, 2))
+    f = M.x_ring().poly(draw(st.lists(st.integers(0, q - 1), min_size=n,
+                                      max_size=n)) + [1])
+    assume(poly_gcd(f, characteristic_poly(M)).degree == 0)
+    return M, f
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_finite_modules())
+def test_splitting_degree_matches_extension_scan(mf):
+    M, f = mf
+    s_cap = 8 // (M.base.e // M.q_field.e)
+    s, points = _scan_splitting(M, f, s_cap)
+    if s is None:
+        with pytest.raises(SplittingFieldTooLarge):
+            splitting_degree(M, f, s_cap)
+        with pytest.raises(SplittingFieldTooLarge):
+            torsion_basis(M, f, s_cap=s_cap)
+        return
+    assert splitting_degree(M, f, s_cap) == s
+    tb = torsion_basis(M, f, s_cap=s_cap)
+    assert (tb.s, tb.points) == (s, points)
+
+
+def test_splitting_degree_of_constant_f():
+    # phi_1 = 1 has the zero kernel, already inside the base field
+    M = DrinfeldModule(F3, F3, F3.one(), [F3.one(), F3.one()])
+    one = M.x_ring().one()
+    assert splitting_degree(M, one, 1) == 1
+    tb = torsion_basis(M, one)
+    assert (tb.s, tb.points) == (1, [])
+
+
+@pytest.mark.parametrize("m,theta,g,f", [
+    (1, [0, 1], [[1]], [0, 1]),
+    (1, [1], [[0, 1], [1]], [0, 1]),
+    (1, [1, 1], [[0, 1], [1]], [0, 0, 1]),
+    (2, [0, 1], [[1], [0, 1]], [0, 1]),
+    (2, [0, 0, 1], [[1]], [1, 1]),
+    (2, [0, 1], [[1]], [0, 1]),
+])
+def test_splitting_degree_over_f4_coefficients(m, theta, g, f):
+    # q = 4 is not prime, so m = [K : F_q] differs from the degree of K over F_p
+    base = F4 if m == 1 else make_field(2, 4)
+    emb = embed(F4, base)
+    M = DrinfeldModule(F4, base, base.elem(theta), [base.elem(c) for c in g], emb)
+    fx = M.x_ring().poly([F4.elem(c) if isinstance(c, list) else c for c in f])
+    s, points = _scan_splitting(M, fx, 6)
+    assert s is not None
+    assert splitting_degree(M, fx, 6) == s
+    assert torsion_basis(M, fx, s_cap=6).points == points

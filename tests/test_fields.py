@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -148,3 +149,95 @@ def test_nullspace_and_rank():
     assert linalg.rank(mat, F3) == 2
     inv = linalg.inverse([[e(1), e(1)], [e(1), e(2)]], F3)
     assert inv is not None
+
+
+# The default modulus of every F_{p^e} with 2 <= e and p^e <= 3^10, as
+# chosen by the plain scan (every candidate through _is_irreducible).
+PINNED_MODULI = {
+    (2, 2): (1, 1, 1), (2, 3): (1, 0, 1, 1), (2, 4): (1, 0, 0, 1, 1),
+    (2, 5): (1, 0, 0, 1, 0, 1), (2, 6): (1, 0, 0, 0, 0, 1, 1),
+    (2, 7): (1, 0, 0, 0, 0, 0, 1, 1), (2, 8): (1, 0, 0, 0, 1, 1, 0, 1, 1),
+    (2, 9): (1, 0, 0, 0, 0, 0, 0, 0, 1, 1), (2, 10): (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+    (2, 11): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1),
+    (2, 12): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+    (2, 13): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1),
+    (2, 14): (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+    (2, 15): (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1), (3, 2): (1, 0, 1),
+    (3, 3): (1, 0, 2, 1), (3, 4): (1, 0, 1, 1, 1), (3, 5): (1, 0, 0, 0, 2, 1),
+    (3, 6): (1, 0, 0, 0, 1, 1, 1), (3, 7): (1, 0, 0, 0, 0, 1, 2, 1),
+    (3, 8): (1, 0, 0, 0, 0, 1, 1, 0, 1), (3, 9): (1, 0, 0, 0, 0, 0, 2, 1, 0, 1),
+    (3, 10): (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1), (5, 2): (1, 1, 1),
+    (5, 3): (1, 0, 1, 1), (5, 4): (1, 0, 1, 1, 1), (5, 5): (1, 0, 0, 0, 4, 1),
+    (5, 6): (1, 0, 0, 0, 1, 1, 1), (7, 2): (1, 0, 1), (7, 3): (1, 0, 1, 1),
+    (7, 4): (1, 0, 0, 1, 1), (7, 5): (1, 0, 0, 0, 3, 1), (11, 2): (1, 0, 1),
+    (11, 3): (1, 0, 4, 1), (11, 4): (1, 0, 0, 4, 1), (13, 2): (1, 3, 1),
+    (13, 3): (1, 0, 4, 1), (13, 4): (1, 0, 0, 1, 1), (17, 2): (1, 1, 1),
+    (17, 3): (1, 0, 3, 1), (19, 2): (1, 0, 1), (19, 3): (1, 0, 1, 1),
+    (23, 2): (1, 0, 1), (23, 3): (1, 0, 3, 1), (29, 2): (1, 1, 1),
+    (29, 3): (1, 0, 2, 1), (31, 2): (1, 0, 1), (31, 3): (1, 0, 3, 1),
+    (37, 2): (1, 3, 1), (37, 3): (1, 0, 5, 1), (41, 2): (1, 1, 1), (43, 2): (1, 0, 1),
+    (47, 2): (1, 0, 1), (53, 2): (1, 1, 1), (59, 2): (1, 0, 1), (61, 2): (1, 5, 1),
+    (67, 2): (1, 0, 1), (71, 2): (1, 0, 1), (73, 2): (1, 3, 1), (79, 2): (1, 0, 1),
+    (83, 2): (1, 0, 1), (89, 2): (1, 1, 1), (97, 2): (1, 3, 1), (101, 2): (1, 1, 1),
+    (103, 2): (1, 0, 1), (107, 2): (1, 0, 1), (109, 2): (1, 6, 1), (113, 2): (1, 1, 1),
+    (127, 2): (1, 0, 1), (131, 2): (1, 0, 1), (137, 2): (1, 1, 1), (139, 2): (1, 0, 1),
+    (149, 2): (1, 1, 1), (151, 2): (1, 0, 1), (157, 2): (1, 3, 1), (163, 2): (1, 0, 1),
+    (167, 2): (1, 0, 1), (173, 2): (1, 1, 1), (179, 2): (1, 0, 1), (181, 2): (1, 5, 1),
+    (191, 2): (1, 0, 1), (193, 2): (1, 3, 1), (197, 2): (1, 1, 1), (199, 2): (1, 0, 1),
+    (211, 2): (1, 0, 1), (223, 2): (1, 0, 1), (227, 2): (1, 0, 1), (229, 2): (1, 5, 1),
+    (233, 2): (1, 1, 1), (239, 2): (1, 0, 1), (241, 2): (1, 5, 1),
+}
+
+
+def test_default_moduli_pinned():
+    assert len(PINNED_MODULI) == 91
+    for (p, e), modulus in PINNED_MODULI.items():
+        assert make_field(p, e).modulus == modulus, (p, e)
+    for p in (2, 3, 5, 7, 59023):
+        assert make_field(p).modulus == (0, 1)
+
+
+def _plain_scan(p, e):
+    from drinfeld_weil.fields import _is_irreducible
+    for low in itertools.product(range(p), repeat=e):
+        if _is_irreducible(list(low) + [1], p):
+            return list(low) + [1]
+
+
+@pytest.mark.parametrize("p,top", [(2, 8), (3, 5), (5, 3), (7, 2)])
+def test_pruned_search_matches_plain_scan(p, top):
+    from drinfeld_weil.fields import _smallest_irreducible
+    for e in range(1, top + 1):
+        assert _smallest_irreducible(p, e) == _plain_scan(p, e), (p, e)
+
+
+def test_root_test_matches_evaluation():
+    from drinfeld_weil.fields import _has_root
+    for p in (2, 3, 5):
+        for e in (1, 2, 3):
+            for low in itertools.product(range(p), repeat=e):
+                m = list(low) + [1]
+                roots = [a for a in range(p)
+                         if sum(c * a ** i for i, c in enumerate(m)) % p == 0]
+                assert _has_root(m, p) == bool(roots), (p, m)
+
+
+def test_modulus_search_cost_does_not_grow_with_p():
+    # p = 3 mod 4, so y^2 + 1, the first candidate with a_0 != 0, is irreducible
+    p = 100000007
+    t0 = time.perf_counter()
+    assert make_field(p, 2).modulus == (1, 0, 1)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_chosen_modulus_not_retested(monkeypatch):
+    from drinfeld_weil import fields
+    calls = []
+    real = fields._is_irreducible
+    monkeypatch.setattr(fields, "_is_irreducible",
+                        lambda m, p: calls.append(tuple(m)) or real(m, p))
+    F = make_field(2, 4)
+    assert calls.count(F.modulus) == 1  # once, inside the search
+    calls.clear()
+    make_field(2, 4, [1, 0, 0, 1, 1])
+    assert calls == [(1, 0, 0, 1, 1)]  # a caller's modulus is validated
