@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
 from .errors import (BadCharacteristic, NotATree, NotInvertibleModF,
                      NotTorsion, PoleOnModulus, SplittingFieldTooLarge,
                      TruncationTooShallow)
-from .fields import FiniteField, embed, make_field
+from .fields import PRIME_TEST_LIMIT, FiniteField, embed, is_prime, make_field
 from .modules import DrinfeldModule, torsion_basis
 from .pairing import weil_pairing
 from .polys import PolyRing
@@ -46,16 +45,24 @@ def _parse_ints(text: str):
 
 
 def _factor_prime_power(q: int):
-    """(p, e) with q = p^e; the least divisor up to sqrt(q) is p, else q is prime."""
-    if q >= 2:
-        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
-        e, rest = 0, q
-        while rest % p == 0:
-            rest //= p
-            e += 1
-        if rest == 1:
+    """(p, e) with q = p^e and p prime, from the integer e-th roots of q."""
+    if q >= PRIME_TEST_LIMIT:
+        raise UsageError(f"{q} is too large: q must be below {PRIME_TEST_LIMIT}")
+    for e in range(1, max(q, 1).bit_length()):
+        p = _iroot(q, e)
+        if p ** e == q and is_prime(p):
             return p, e
     raise UsageError(f"{q} is not a prime power")
+
+
+def _iroot(q: int, e: int) -> int:
+    """floor(q^(1/e)) for q >= 1, by Newton's method from above."""
+    x = 1 << -(-q.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + q // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
 
 
 def _workers_cap():

@@ -15,14 +15,39 @@ import itertools
 from . import linalg
 
 
+# Miller-Rabin with the prime bases 2..41 is exact below PRIME_TEST_LIMIT,
+# the least strong pseudoprime to all of them (Sorenson and Webster,
+# 2015).  The bases 2..37 alone fail at 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic primality test for n < PRIME_TEST_LIMIT.
+
+    Raises ValueError at or above the limit rather than guess."""
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"{n} is too large to test for primality "
+                         f"(the limit is {PRIME_TEST_LIMIT})")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -228,10 +253,10 @@ class FieldElem:
         return all(a == 0 for a in self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            return self == self.field.elem(other)
-        return (isinstance(other, FieldElem) and self.field == other.field
-                and self.coeffs == other.coeffs)
+        # ints are not coerced here: equal elements must hash equal
+        if not isinstance(other, FieldElem):
+            return NotImplemented
+        return self.field == other.field and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.field, self.coeffs))

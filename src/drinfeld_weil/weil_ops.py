@@ -1,21 +1,28 @@
 """Weil operators attached to a monic modulus f over F_q.
 
 The rank-two operator is the polynomial
-    O2(X1, X2) = sum_{k<n} D_f(X1^k) X2^k
+    O2(X1, X2) = sum_{k<n} X1^k b_k(X2),   b_k = D_f(t^k),
               = sum_{j=1}^n a_j sum_{alpha+beta=j-1} X1^alpha X2^beta,
 where D_f is the dual map t^i -> sum_j a_{i+j+1} t^j of F_q[t]/f and n
 = deg f.  It also equals the exact quotient (f(X2)-f(X1))/(X2-X1),
 which this module computes independently by synthetic division so the
 two constructions can be checked against each other.
 
-The rank-r operator is the per-variable normal form (degree < n in
-every variable) of prod_{j<r} O2(X_j, X_r); a spanning-tree product of
-rank-two operators over any connected graph reduces to the same normal
-form.  The star action [g(t) * O] multiplies by g(X_i) for any slot i
-and renormalizes; the result is slot-independent.
+The rank-r operator is the normal form of prod_{j<r} O2(X_j, X_r) mod
+f(X_r).  Its coefficient of X_1^{k_1} ... X_{r-1}^{k_{r-1}} is the
+remainder prod_j b_{k_j} mod f, read as a polynomial in X_r, and that
+product depends only on the multiset {k_j}: weil_op_r forms it once per
+non-decreasing index tuple in F_q[t]/(f).  tree_product is the
+independent check: it multiplies rank-two operators over the edges of
+any spanning tree as multivariate polynomials and reduces every
+variable, which gives the same normal form for every connected graph.
+The star action [g(t) * O] multiplies by g(X_i) for any slot i and
+renormalizes; the result is slot-independent.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from .errors import NotATree
 from .multipoly import MPoly, MPolyRing
@@ -35,16 +42,6 @@ def dual_map(f: UniPoly, i: int) -> UniPoly:
     if not 0 <= i < n:
         raise ValueError(f"index {i} out of range for deg f = {n}")
     return f.ring.poly([f.coeff(i + j + 1) for j in range(n - i)])
-
-
-def dual_map_poly(f: UniPoly, g: UniPoly) -> UniPoly:
-    """D_f extended F_q-linearly to polynomials of degree < deg f."""
-    g = g % f
-    acc = f.ring.zero()
-    for i, c in enumerate(g.coeffs):
-        if not c.is_zero():
-            acc = acc + dual_map(f, i) * c
-    return acc
 
 
 def weil_op2(f: UniPoly) -> MPoly:
@@ -82,30 +79,34 @@ def weil_op2_quotient(f: UniPoly) -> MPoly:
 
 
 def weil_op_r(f: UniPoly, r: int) -> MPoly:
-    """Rank-r operator: normal form of prod_j O2(X_j, X_r) mod f(X_r)."""
+    """Rank-r operator: normal form of prod_j O2(X_j, X_r) mod f(X_r).
+
+    The coefficient of X_1^{k_1} ... X_{r-1}^{k_{r-1}} is prod_j b_{k_j}
+    mod f with b_k = D_f(t^k); each product is formed once, for the
+    sorted index tuple, by extending shorter products one factor at a
+    time."""
     if r < 1:
         raise ValueError("rank must be >= 1")
     ring = op_ring(f.ring.field, r)
     if r == 1:
         return ring.one()
-    o2 = weil_op2(f)
-    anchor = r - 1
-    prod = ring.one()
-    for j in range(r - 1):
-        prod = prod * o2.inject(ring, (j, anchor))
-        prod = prod.reduce_mod(f, anchor)
-    return prod
+    n = int(f.degree)
+    b = [dual_map(f, k) for k in range(n)]
+    prods = {(k,): bk for k, bk in enumerate(b)}
+    for _ in range(r - 2):
+        prods = {ks + (k,): (pk * b[k]) % f
+                 for ks, pk in prods.items() for k in range(ks[-1], n)}
+    terms = {}
+    for ks in itertools.product(range(n), repeat=r - 1):
+        for i, c in enumerate(prods[tuple(sorted(ks))].coeffs):
+            if not c.is_zero():
+                terms[ks + (i,)] = c
+    return MPoly(ring, terms)
 
 
 def weil_op_rt(f: UniPoly, r: int) -> MPoly:
     """The (r+1)-variable operator O(X_1, ..., X_r, t), anchored at t."""
-    ring = op_ring(f.ring.field, r, with_t=True)
-    o2 = weil_op2(f)
-    prod = ring.one()
-    for j in range(r):
-        prod = prod * o2.inject(ring, (j, r))
-        prod = prod.reduce_mod(f, r)
-    return prod
+    return MPoly(op_ring(f.ring.field, r, with_t=True), weil_op_r(f, r + 1).terms)
 
 
 def reduce_mod_star(P: MPoly, f: UniPoly, variables=None) -> MPoly:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -37,7 +38,7 @@ def test_weil_op_malformed_input(capsys):
 
 
 def test_weil_op_large_prime_q_is_fast(capsys):
-    # trial division stops at sqrt(q), so a nine-digit prime q answers at once
+    # a deterministic primality test, so a nine-digit prime q answers at once
     t0 = time.perf_counter()
     code, out, _ = run_cli(capsys, "weil-op", "--q", "100000007", "--f", "1,0,1",
                            "--rank", "2")
@@ -45,8 +46,60 @@ def test_weil_op_large_prime_q_is_fast(capsys):
     assert code == 0 and out.strip() == "X1 + X2"
 
 
+def test_weil_op_large_prime_square_q_is_fast(capsys):
+    # q = 100000007^2 is found as an integer square root, not by division
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, "weil-op", "--q", "10000001400000049",
+                           "--f", "1,0,1", "--rank", "2")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 0 and out.strip() == "X1 + X2"
+
+
+def test_q_product_of_two_large_primes_exit_2_fast(capsys):
+    q = str(100000007 * 100000037)
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, "weil-op", "--q", q, "--f", "1,0,1", "--rank", "2")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and err == f"error: {q} is not a prime power\n"
+
+
+def test_q_beyond_exact_primality_exit_2(capsys):
+    # 2^82 is a prime power, but q this large is refused, not guessed at
+    for q in ("3317044064679887385961981", str(2 ** 82)):
+        code, out, err = run_cli(capsys, "weil-op", "--q", q, "--f", "1,0,1",
+                                 "--rank", "2")
+        assert code == 2 and out == ""
+        assert err == (f"error: {q} is too large: q must be below "
+                       "3317044064679887385961981\n")
+
+
+# weil-op over q in {2, 3, 4, 5, 7, 9}, ranks 1-5, deg f 1-4
+WEIL_OP_GRID = [(2, "1,1", 1), (2, "0,0,1", 5), (2, "1,1,0,1", 4), (3, "1,0,1", 2),
+                (3, "2,1,0,1", 4), (3, "1,2,0,2,1", 3), (4, "1,1,1", 3),
+                (4, "0,1,0,1", 4), (5, "2,0,1", 4), (5, "1,3,4,1", 3), (7, "3,1", 5),
+                (7, "1,2,3,6,1", 3), (9, "1,0,1", 3), (9, "2,1,1,1", 4)]
+# sha256 of the concatenated output over the grid, from the MPoly
+# product-and-reduce construction of the operators
+WEIL_OP_GRID_SHA256 = {
+    "json": "83fe5d7367151f0ffe810dec9a38664c661a872a7c63dcfd908824cd5a5cd939",
+    "text": "e3a9772b0edd9d53b1bc50119c9cb8de66eb62b25f55c0e9971a6fc799e249d8",
+    "latex": "013afca08f95445498873b67e460aa36ac36bd99da87c072b6a00e68734b01c8",
+}
+
+
+def test_weil_op_output_pinned(capsys):
+    for fmt, expected in WEIL_OP_GRID_SHA256.items():
+        h = hashlib.sha256()
+        for q, f, r in WEIL_OP_GRID:
+            code, out, _ = run_cli(capsys, "weil-op", "--q", str(q), "--f", f,
+                                   "--rank", str(r), "--format", fmt)
+            assert code == 0
+            h.update(out.encode())
+        assert h.hexdigest() == expected, fmt
+
+
 def test_q_not_a_prime_power_exit_2(capsys):
-    for q in ("12", "1", "0", "-4", "200000014"):
+    for q in ("12", "36", "1", "0", "-4", "200000014"):
         code, _, err = run_cli(capsys, "weil-op", "--q", q, "--f", "1,0,1",
                                "--rank", "2")
         assert code == 2

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from drinfeld_weil import embed, make_field
-from drinfeld_weil.fields import RelativeBasis, min_poly_over
+from drinfeld_weil.fields import (PRIME_TEST_LIMIT, RelativeBasis, is_prime,
+                                  min_poly_over)
 from drinfeld_weil import linalg
 
 
@@ -66,6 +67,44 @@ def test_irreducibility_matches_trial_division():
                                  for dd in range(1, d // 2 + 1)
                                  for g in monic[dd])
                 assert _is_irreducible(cand, p) == (not has_factor), (p, cand)
+
+
+def test_is_prime_matches_trial_division():
+    def by_division(n):
+        return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    for n in range(-3, 20000):
+        assert is_prime(n) == by_division(n), n
+
+
+def test_is_prime_large_values():
+    assert is_prime(2 ** 61 - 1) and is_prime(100000007) and is_prime(10 ** 12 + 39)
+    # strong pseudoprimes to all prime bases up to 2, 3, 7, 31 and 37 in turn,
+    # a Carmichael number, and the two large q of the CLI tests
+    for n in (2047, 1373653, 3215031751, 3825123056546413051,
+              318665857834031151167461, 561, 100000007 ** 2,
+              100000007 * 100000037):
+        assert not is_prime(n), n
+    for n in (PRIME_TEST_LIMIT, 2 ** 90):
+        with pytest.raises(ValueError):
+            is_prime(n)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (3, 2)])
+def test_equal_elements_hash_equal(p, e):
+    F = make_field(p, e)
+    xs = list(F.elements())
+    copies = [F.elem(list(x.coeffs)) for x in xs]
+    for a, b in itertools.product(xs, copies):
+        assert (a == b) == (a.coeffs == b.coeffs)
+        if a == b:
+            assert hash(a) == hash(b)
+    for c in range(-p, 2 * p):
+        x = F.elem(c)
+        # an element never equals an int, in comparisons and in sets alike
+        assert x != c and c != x
+        assert c not in {x} and x not in {c}
+    assert len({F.elem(1): "elem", 1: "int"}) == 2
+    assert make_field(3).elem(1) != make_field(3, 2).elem(1)
 
 
 def test_non_prime_p_rejected():

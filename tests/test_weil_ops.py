@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drinfeld_weil import PolyRing, make_field
 from drinfeld_weil import weil_ops as W
@@ -185,6 +186,23 @@ def test_tree_product_spanning_tree_invariance():
         f = R.poly([rng.randrange(q) for _ in range(rng.randrange(1, dmax + 1))] + [1])
         edges = [(rng.randrange(1, v), v) for v in range(2, r + 1)]
         assert W.tree_product(f, r, edges) == W.weil_op_r(f, r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (7, 1)]),
+       st.integers(1, 5), st.integers(1, 4), st.randoms(use_true_random=False))
+def test_weil_op_r_matches_star_tree_product(pe, r, d, rnd):
+    F = make_field(*pe)
+    elems = list(F.elements())
+    R = PolyRing(F, "t")
+    f = R.poly([rnd.choice(elems) for _ in range(d)] + [1])
+    o = W.weil_op_r(f, r)
+    assert o == W.tree_product(f, r, [(j, r) for j in range(1, r)])
+    if r == 2:
+        assert o == W.weil_op2(f)
+    ot = W.weil_op_rt(f, r)
+    assert ot.ring == W.op_ring(F, r, with_t=True)
+    assert ot.terms == W.weil_op_r(f, r + 1).terms
 
 
 def test_rank3_closed_examples():
