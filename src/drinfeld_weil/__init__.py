@@ -15,9 +15,8 @@ from .series import (Differential, LaurentAtInfinity, laurent_at_infinity,
                      residue_at_infinity, residue_at_point)
 from .tate import (QExpansion, RemainderPoly, TruncAGF, agf, agf_remainder,
                    c_coeffs, ev_remainder, exp_qexp, hasse_schmidt,
-                   hermite_jets, moore_series, mp_coeffs,
-                   remainder_via_interpolation, twist)
-from .twisted import TwistedPoly, twisted_mul
+                   hermite_jets, mp_coeffs, remainder_via_interpolation)
+from .twisted import TwistedPoly
 from .weil_ops import (dual_map, katen_recursion, rank3_closed,
                        reduce_mod_star, star_action, tree_product, weil_op2,
                        weil_op2_quotient, weil_op_r, weil_op_rt)

@@ -3,16 +3,13 @@
 Polynomials on the command line are comma-separated coefficient lists,
 constant term first, matching the JSON file format.  Exit codes: 0 on
 success, 1 on a verification or mathematical failure, 2 on usage
-errors.  DRINFELD_WEIL_WORKERS (if set) caps suite parallelism; suites
-currently run on a single worker, which always respects the cap, and
-reports are merged in sorted case order either way.
+errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import (BadCharacteristic, NotATree, NotInvertibleModF,
@@ -63,19 +60,6 @@ def _iroot(q: int, e: int) -> int:
         if y >= x:
             return x
         x = y
-
-
-def _workers_cap():
-    raw = os.environ.get("DRINFELD_WEIL_WORKERS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError(f"DRINFELD_WEIL_WORKERS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise UsageError("DRINFELD_WEIL_WORKERS must be >= 1")
-    return cap
 
 
 def _q_field(args) -> FiniteField:
@@ -261,9 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--cases", type=int, default=None,
                    help="override the per-family case count")
-    v.add_argument("--trunc", type=int, default=None,
-                   help="accepted for symmetry with the file format; suites "
-                        "pin their own truncation depths")
     v.add_argument("--format", choices=("text", "json"), default="json")
     v.set_defaults(func=cmd_verify)
 
@@ -274,7 +255,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _workers_cap()
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -371,6 +371,8 @@ class FiniteField:
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, FiniteField) and self.p == other.p
                 and self.e == other.e and self.modulus == other.modulus)
 
@@ -384,10 +386,6 @@ class FiniteField:
 def make_field(p: int, e: int = 1, modulus=None) -> FiniteField:
     """Validated field descriptor; picks the smallest modulus when omitted."""
     return FiniteField(p, e, modulus)
-
-
-def field_from_json(obj) -> FiniteField:
-    return make_field(int(obj["p"]), int(obj["e"]), obj.get("modulus"))
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ action of the rank-r Weil operator:
     Weil_f(mu_1, ..., mu_r) = M(O_f^(r) diamond (mu_1 x ... x mu_r)),
 
 where M(mu_1, ..., mu_r) = det(mu_i^(q^(j-1))) and a monomial
-X_1^(a_1) ... X_r^(a_r) acts as phi_{x^{a_i}} on slot i.  The same code
-drives both concrete torsion points (field elements in a splitting
-extension) and formal truncated q-expansions, which is what the main
-bridge check compares: the f-remainder of the Moore determinant of r
-generating functions against the operator side, slot by t-slot and
-monomial by monomial inside the truncation guard band.
+X_1^(a_1) ... X_r^(a_r) acts as phi_{x^{a_i}} on slot i.  moore_det is
+the package's one Moore determinant.  It takes concrete torsion points
+(field elements in a splitting extension), formal truncated
+q-expansions and truncated generating functions alike, which is what
+the main bridge check compares: the f-remainder of the Moore
+determinant of r generating functions against the operator side, slot
+by t-slot and monomial by monomial inside the truncation guard band.
 """
 
 from __future__ import annotations
@@ -23,32 +24,35 @@ from .errors import NotTorsion, TruncationTooShallow
 from .modules import DrinfeldModule, exp_coeffs
 from .multipoly import MPoly
 from .polys import UniPoly
-from .tate import (QExpansion, agf, agf_remainder, band_monomials, exp_qexp,
-                   mono_str, moore_series, phi_apply_qexp, _merge_caps)
+from .tate import (QExpansion, _SymSeries, agf, agf_remainder, band_monomials,
+                   exp_qexp, mono_str, phi_apply_qexp, _merge_caps)
 from .weil_ops import weil_op_r, weil_op_rt
 
 
-def _qfrob(v, q: int, k: int):
-    if k == 0:
-        return v
-    if isinstance(v, QExpansion):
-        return v.frobenius(k)
-    return v ** (q ** k)
-
-
 def moore_det(mus, q: int):
-    """det(mu_i^(q^(j-1))): F_q-multilinear and alternating."""
+    """det(mu_i^(q^j))_{i,j<r}: F_q-multilinear and alternating.
+
+    The entries are field elements, whose q^j-twist is the q^j-th power,
+    or q-expansions and generating functions, twisted by .frobenius.
+    Each entry's twists are formed once, one step at a time, into an
+    r x r table; the determinant is the signed sum over permutations."""
     r = len(mus)
     if r == 1:
         return mus[0]
+    table = []
+    for mu in mus:
+        row = [mu]
+        for _ in range(r - 1):
+            row.append(row[-1].frobenius(1) if isinstance(mu, _SymSeries)
+                       else row[-1] ** q)
+        table.append(row)
     acc = None
     for perm in itertools.permutations(range(r)):
         inversions = sum(1 for i in range(r) for j in range(i + 1, r)
                          if perm[i] > perm[j])
-        prod = None
-        for i in range(r):
-            factor = _qfrob(mus[i], q, perm[i])
-            prod = factor if prod is None else prod * factor
+        prod = table[0][perm[0]]
+        for i in range(1, r):
+            prod = prod * table[i][perm[i]]
         if inversions % 2:
             prod = -prod
         acc = prod if acc is None else acc + prod
@@ -148,7 +152,7 @@ def main_theorem_check(M: DrinfeldModule, f: UniPoly, r: int, N: int) -> dict:
     n = int(f.degree)
     syms = [f"Z{i + 1}" for i in range(r)]
     series = [agf(M, s, N, ec) for s in syms]
-    kappa = moore_series(series)
+    kappa = moore_det(series, M.q)
     lhs_slots = agf_remainder(kappa, f)
 
     inv_f_theta = M.base.one() / eval_at_theta(M, f)

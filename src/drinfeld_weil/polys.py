@@ -179,26 +179,34 @@ class UniPoly:
             n >>= 1
         return result
 
-    def __divmod__(self, other):
+    def _divisor(self, other):
         other = self._coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        return other
+
+    def _int_divmod(self, other, p):
+        """Long division over F_p on int lists: (quotient, remainder)."""
+        bc = [c.coeffs[0] for c in other.coeffs]
+        inv_lead = pow(bc[-1], p - 2, p)
+        quot = [0] * max(len(self.coeffs) - len(bc) + 1, 0)
+        rem = [c.coeffs[0] for c in self.coeffs]
+        d = len(bc) - 1
+        while rem and len(rem) - 1 >= d:
+            c = (rem[-1] * inv_lead) % p
+            shift = len(rem) - 1 - d
+            quot[shift] = c
+            for j, oc in enumerate(bc):
+                rem[shift + j] = (rem[shift + j] - c * oc) % p
+            while rem and rem[-1] == 0:
+                rem.pop()
+        return quot, rem
+
+    def __divmod__(self, other):
+        other = self._divisor(other)
         prime = _prime_field_of(self.ring)
         if prime is not None:
-            p = prime.p
-            bc = [c.coeffs[0] for c in other.coeffs]
-            inv_lead = pow(bc[-1], p - 2, p)
-            quot = [0] * max(len(self.coeffs) - len(bc) + 1, 0)
-            rem = [c.coeffs[0] for c in self.coeffs]
-            d = len(bc) - 1
-            while rem and len(rem) - 1 >= d:
-                c = (rem[-1] * inv_lead) % p
-                shift = len(rem) - 1 - d
-                quot[shift] = c
-                for j, oc in enumerate(bc):
-                    rem[shift + j] = (rem[shift + j] - c * oc) % p
-                while rem and rem[-1] == 0:
-                    rem.pop()
+            quot, rem = self._int_divmod(other, prime.p)
             return _from_ints(self.ring, prime, quot), _from_ints(self.ring, prime, rem)
         inv_lead = self.ring.field.one() / other.leading()
         quot = [self.ring.field.zero()] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
@@ -218,7 +226,11 @@ class UniPoly:
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        prime = _prime_field_of(self.ring)
+        if prime is None:
+            return divmod(self, other)[1]
+        rem = self._int_divmod(self._divisor(other), prime.p)[1]
+        return _from_ints(self.ring, prime, rem)
 
     def monic(self):
         if self.is_zero():

@@ -92,6 +92,3 @@ def residue_at_point(w: Differential, c):
     vals = _series_div(list(ns.coeffs), list(ds.coeffs), field, k)
     return vals[k - 1]
 
-
-def differential(g: RatFunc) -> Differential:
-    return Differential(g)

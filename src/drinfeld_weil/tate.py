@@ -13,7 +13,9 @@ Every value's denominator is a product of factors (theta^{q^j} - t).
 Truncation is tracked per symbol: caps[Z] = N means every coefficient
 involving Z^{q^k} with k <= N is exact (structural zeros included).
 Operations that could produce monomials above a cap drop them, and
-comparisons only assert equality inside the shared guard band.
+comparisons only assert equality inside the shared guard band.  A
+series is twisted by .frobenius(k); the Moore determinant of series is
+pairing.moore_det, the same one that serves field elements.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .fields import embed, make_field
 from .modules import DrinfeldModule, ExpCoeffs, exp_coeffs
 from .multipoly import MPoly, MPolyRing
 from .polys import FracField, PolyRing, RatFunc, UniPoly, inv_mod, lift_poly, poly_gcd
-from .weil_ops import dual_map
+from .weil_ops import weil_op2
 
 INF_CAP = 10 ** 9
 
@@ -42,9 +44,6 @@ class RemainderPoly:
 
     def coeff(self, i):
         return self.coeffs[i]
-
-    def as_poly(self, ring: PolyRing) -> UniPoly:
-        return ring.poly(list(self.coeffs))
 
 
 def ev_remainder(w, f: UniPoly) -> RemainderPoly:
@@ -276,9 +275,6 @@ class _SymSeries:
                 bad.append(m)
         return sorted(bad)
 
-    def eq_on_band(self, other) -> bool:
-        return not self.mismatches(other)
-
     def dump(self):
         """Deterministic JSON-friendly map monomial -> value string."""
         return {mono_str(m): str(v) for m, v in sorted(self.terms.items())}
@@ -319,12 +315,6 @@ class TruncAGF(_SymSeries):
         num = v.num.map_coeffs(lambda c: c ** qk)
         den = v.den.map_coeffs(lambda c: c ** qk)
         return RatFunc(v.field, num, den)
-
-
-def twist(w, k: int):
-    """k-th Frobenius twist: coefficients to the q^k, poles and lattice
-    monomials shifted accordingly."""
-    return w.frobenius(k)
 
 
 # ---------------------------------------------------------------------------
@@ -398,39 +388,12 @@ def c_coeffs(M: DrinfeldModule, f: UniPoly, N: int, sym: str = "Z",
     return agf_remainder(agf(M, sym, N, ec), f)
 
 
-def moore_series(ws) -> TruncAGF:
-    """Moore determinant of generating functions: det(twist(w_j, i))."""
-    ws = list(ws)
-    r = len(ws)
-    if r == 1:
-        return ws[0]
-    vfield, q = ws[0].vfield, ws[0].q
-    acc = None
-    for perm in itertools.permutations(range(r)):
-        inversions = sum(1 for i in range(r) for j in range(i + 1, r)
-                         if perm[i] > perm[j])
-        prod = ws[perm[0]]
-        for i in range(1, r):
-            prod = prod * ws[perm[i]].frobenius(i)
-        if inversions % 2:
-            prod = -prod
-        acc = prod if acc is None else acc + prod
-    return acc
-
-
 def mp_coeffs(p: UniPoly, l: int):
     """Coefficients E_i^(l)(x) of t^i in O_p^(2)(x, t)^(l+1) mod p(t),
     i < deg p; each has degree < (l+1) deg p."""
     field = p.ring.field
     d = int(p.degree)
-    ring = MPolyRing(field, ("x", "t"))
-    terms = {}
-    for k in range(d):
-        dk = dual_map(p, k)
-        for j, c in enumerate(dk.coeffs):
-            if not c.is_zero():
-                terms[(j, k)] = c
-    O = MPoly(ring, terms)
+    O = MPoly(MPolyRing(field, ("x", "t")), weil_op2(p).terms)
     P = (O ** (l + 1)).reduce_mod(p, 1)
     rx = PolyRing(field, "x")
     out = []

@@ -147,6 +147,3 @@ class TwistedPoly:
                 parts.append(f"({cs})" + (f"*{head}" if head else ""))
         return "TwistedPoly(" + " + ".join(parts) + ")"
 
-
-def twisted_mul(a: TwistedPoly, b: TwistedPoly) -> TwistedPoly:
-    return a * b

@@ -21,7 +21,7 @@ from .fields import make_field, embed
 from .linalg import rank as mat_rank
 from .modules import (DrinfeldModule, a_module_basis, exp_coeffs,
                       kernel_in_field, torsion_basis)
-from .multipoly import MPolyRing
+from .multipoly import MPoly, MPolyRing
 from .polys import (FracField, PolyRing, is_irreducible_poly, lift_poly,
                     poly_gcd)
 from .series import Differential, residue_at_infinity, residue_at_point
@@ -46,7 +46,7 @@ class Recorder:
                 "cases": self.cases,
                 "failures": sorted(self.failures,
                                    key=lambda f: (f["case"], f["inputs"])),
-                "elapsed": round(time.time() - started, 3)}
+                "elapsed": round(time.perf_counter() - started, 3)}
 
 
 def _rng(seed, suite: str) -> random.Random:
@@ -70,7 +70,7 @@ def _random_irreducible(rng, ring, d):
 # operators
 
 def suite_operators(seed=0, cases=None) -> dict:
-    started = time.time()
+    started = time.perf_counter()
     rec = Recorder()
     rng = _rng(seed, "operators")
     per_q = cases if cases is not None else 200
@@ -216,7 +216,7 @@ def _pairing_residue(Ft, num, den):
 
 
 def suite_residues(seed=0, cases=None) -> dict:
-    started = time.time()
+    started = time.perf_counter()
     rec = Recorder()
     rng = _rng(seed, "residues")
     n_dual = cases if cases is not None else 40
@@ -309,7 +309,7 @@ def suite_residues(seed=0, cases=None) -> dict:
 # remainders
 
 def suite_remainders(seed=0, cases=None) -> dict:
-    started = time.time()
+    started = time.perf_counter()
     rec = Recorder()
     rng = _rng(seed, "remainders")
 
@@ -404,7 +404,7 @@ def _rational_modules(q=3):
 
 
 def suite_agf(seed=0, cases=None) -> dict:
-    started = time.time()
+    started = time.perf_counter()
     rec = Recorder()
     F, K, carlitz, rank2 = _rational_modules(3)
     Rx = PolyRing(F, "x")
@@ -433,7 +433,7 @@ def suite_agf(seed=0, cases=None) -> dict:
 
             # twisting commutes with taking remainders
             w = tate.agf(M, "Z", N, ec=ec)
-            lhs = tate.agf_remainder(tate.twist(w, 1), f)
+            lhs = tate.agf_remainder(w.frobenius(1), f)
             rhs = [s.frobenius(1) for s in tate.agf_remainder(w, f)]
             ok = all(not a.mismatches(b) for a, b in zip(lhs, rhs))
             rec.check("twist-remainder-compat", ok, tag)
@@ -445,7 +445,7 @@ def suite_agf(seed=0, cases=None) -> dict:
 # maurischat-perkins
 
 def suite_maurischat_perkins(seed=0, cases=None) -> dict:
-    started = time.time()
+    started = time.perf_counter()
     rec = Recorder()
     F, K, carlitz, rank2 = _rational_modules(3)
     R = PolyRing(F, "t")
@@ -460,13 +460,7 @@ def suite_maurischat_perkins(seed=0, cases=None) -> dict:
     ring_xt = MPolyRing(F, ("x", "t"))
 
     def op_xt(modulus):
-        terms = ring_xt.zero()
-        for kk in range(int(modulus.degree)):
-            dk = W.dual_map(modulus, kk)
-            for j, c in enumerate(dk.coeffs):
-                if not c.is_zero():
-                    terms = terms + ring_xt.term((j, kk), c)
-        return terms
+        return MPoly(ring_xt, W.weil_op2(modulus).terms)
 
     o1 = op_xt(p)
     px = ring_xt.from_unipoly(p, 0)
@@ -507,7 +501,7 @@ def suite_maurischat_perkins(seed=0, cases=None) -> dict:
 # main-theorem
 
 def suite_main_theorem(seed=0, cases=None) -> dict:
-    started = time.time()
+    started = time.perf_counter()
     rec = Recorder()
     F, K, _, rank2 = _rational_modules(3)
     Rx = PolyRing(F, "x")
@@ -547,7 +541,7 @@ def _finite_instance(q, g_coeffs, theta_val=1, ext=1):
 
 
 def suite_pairing_axioms(seed=0, cases=None) -> dict:
-    started = time.time()
+    started = time.perf_counter()
     rec = Recorder()
     rng = _rng(seed, "pairing-axioms")
     n_samples = cases if cases is not None else 200

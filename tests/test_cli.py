@@ -2,6 +2,8 @@ import hashlib
 import json
 import time
 
+import pytest
+
 from drinfeld_weil.cli import main
 
 
@@ -229,6 +231,25 @@ def test_verify_deterministic_reports(capsys):
     assert run_once() == run_once()
 
 
+# sha256 of the seed-3 reports without "elapsed", from the construction
+# with a separate Moore determinant for generating functions and three
+# rank-two operator builders
+VERIFY_SEED3_SHA256 = {
+    "agf": "1d3b24a17e94b05ab7dc1eef20e206b7cb389850006e3286a94b4f6a20875190",
+    "main-theorem": "57a4df80a5b051f465c1b0012cba1bd363e3f1cbc2a2471e11598b33fd78b14c",
+    "maurischat-perkins": "fe4406383302eb71e105d519f50470dbbf13ce2f49ec57ea956c139183aab7a2",
+}
+
+
+def test_verify_reports_pinned(capsys):
+    for suite, expected in VERIFY_SEED3_SHA256.items():
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--seed", "3")
+        assert code == 0
+        body = json.loads(out)
+        body.pop("elapsed")
+        assert hashlib.sha256(json.dumps(body).encode()).hexdigest() == expected, suite
+
+
 def test_verify_main_theorem_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "main-theorem",
                            "--seed", "7")
@@ -237,11 +258,12 @@ def test_verify_main_theorem_suite(capsys):
     assert body["failures"] == [] and body["cases"] >= 12
 
 
-def test_verify_workers_cap_validated(capsys, monkeypatch):
-    monkeypatch.setenv("DRINFELD_WEIL_WORKERS", "0")
-    assert run_cli(capsys, "verify", "--suite", "maurischat-perkins")[0] == 2
-    monkeypatch.setenv("DRINFELD_WEIL_WORKERS", "3")
-    assert run_cli(capsys, "verify", "--suite", "maurischat-perkins")[0] == 0
+def test_verify_trunc_is_not_an_option(capsys):
+    # suites pin their own truncation depths; argparse exits with code 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--suite", "agf", "--trunc", "3"])
+    assert exc.value.code == 2
+    assert "--trunc" in capsys.readouterr().err
 
 
 def test_verify_text_format(capsys):

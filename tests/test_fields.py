@@ -107,6 +107,17 @@ def test_equal_elements_hash_equal(p, e):
     assert make_field(3).elem(1) != make_field(3, 2).elem(1)
 
 
+def test_field_equality_is_structural():
+    F9 = make_field(3, 2)
+    assert F9 == F9 and not F9 != F9
+    assert make_field(3, 2) == F9 and hash(make_field(3, 2)) == hash(F9)
+    assert make_field(3, 2, [2, 2, 1]) != F9
+    assert make_field(3) != F9 and make_field(5, 2) != F9
+    assert F9 != (3, 2, F9.modulus)
+    # elements of separately built equal fields mix
+    assert make_field(3, 2).gen() + F9.gen() == F9.elem([0, 2])
+
+
 def test_non_prime_p_rejected():
     with pytest.raises(ValueError):
         make_field(4)

@@ -1,8 +1,13 @@
+import hashlib
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from drinfeld_weil import (DrinfeldModule, FracField, MPoly, MPolyRing,
-                           PolyRing, diamond_moore, embed, main_theorem_check,
-                           make_field, moore_det, torsion_basis, weil_pairing)
+                           PolyRing, agf, diamond_moore, embed, exp_coeffs,
+                           main_theorem_check, make_field, moore_det,
+                           torsion_basis, weil_pairing)
 from drinfeld_weil.errors import NotTorsion
 from drinfeld_weil.weil_ops import weil_op_r, weil_op_rt
 
@@ -195,3 +200,84 @@ def test_pairing_swap_negates_rank2():
     for a in pts[:5]:
         for b in pts[:5]:
             assert weil_pairing(Mx, x, [a, b]) == -weil_pairing(Mx, x, [b, a])
+
+
+def cofactor_det(rows):
+    """Laplace expansion along the first row; no permutation sum."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = None
+    for j, a in enumerate(rows[0]):
+        term = a * cofactor_det([row[:j] + row[j + 1:] for row in rows[1:]])
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def moore_matrix(mus, q):
+    r = len(mus)
+    return [[mu.frobenius(j) if hasattr(mu, "frobenius") else mu ** q ** j
+             for j in range(r)] for mu in mus]
+
+
+F16 = make_field(2, 4)
+F9 = make_field(3, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(F16, 2), (F9, 3)]), st.integers(3, 4), st.data())
+def test_moore_det_matches_cofactor_expansion(field_q, r, data):
+    field, q = field_q
+    coeffs = st.lists(st.integers(0, field.p - 1), min_size=field.e,
+                      max_size=field.e)
+    mus = [field.elem(c) for c in data.draw(st.lists(coeffs, min_size=r,
+                                                     max_size=r))]
+    assert moore_det(mus, q) == cofactor_det(moore_matrix(mus, q))
+
+
+def test_moore_det_of_rank3_generating_functions_matches_cofactor():
+    # the bridge's rank-3 module g = (1, 0, 1) over F_2(theta), N = 1
+    Rth = PolyRing(F2, "theta")
+    K = FracField(Rth)
+    M = DrinfeldModule(F2, K, K.gen(), [K.one(), K.zero(), K.one()])
+    ec = exp_coeffs(M, 1)
+    series = [agf(M, f"Z{i + 1}", 1, ec) for i in range(3)]
+    kappa = moore_det(series, M.q)
+    assert not kappa.is_zero()
+    assert kappa == cofactor_det(moore_matrix(series, M.q))
+
+
+# the (q, module, f, N) cells of the bridge benchmark, with g as
+# polynomials in theta and one fixed f per cell
+BRIDGE_MODULES = {"carlitz": ((1,),), "rank2": ((0, 1), (1,)),
+                  "rank3": ((1,), (), (1,))}
+BRIDGE_CELLS = [
+    (2, "carlitz", [1, 1], 1), (2, "carlitz", [0, 1, 1], 1),
+    (2, "carlitz", [0, 0, 0, 1], 1), (2, "carlitz", [1, 1], 2),
+    (2, "carlitz", [1, 0, 1], 2), (2, "carlitz", [1, 0, 0, 1], 2),
+    (2, "rank2", [0, 1], 1), (2, "rank2", [1, 0, 1], 1),
+    (2, "rank2", [1, 0, 0, 1], 1), (2, "rank2", [0, 1], 2),
+    (2, "rank2", [1, 0, 1], 2), (2, "rank3", [0, 1], 1),
+    (3, "carlitz", [2, 1], 1), (3, "carlitz", [0, 1, 1], 1),
+    (3, "carlitz", [0, 2, 1, 1], 1), (3, "carlitz", [2, 1], 2),
+    (3, "carlitz", [0, 2, 1], 2), (3, "carlitz", [1, 2, 2, 1], 2),
+    (3, "rank2", [2, 1], 1), (3, "rank2", [0, 2, 1], 1),
+    (3, "rank2", [2, 1, 2, 1], 1), (3, "rank2", [1, 1], 2),
+    (3, "rank2", [1, 1, 1], 2), (3, "rank3", [1, 1], 1),
+]
+# sha256 of the reports, one JSON line each, from the construction with
+# a separate Moore determinant for generating functions
+BRIDGE_SHA256 = "cb1159b5f8842c2e7aca83011a81416ecd7a140a6498e28baf8fa60482781b32"
+
+
+def test_main_theorem_reports_on_bridge_cells_pinned():
+    h = hashlib.sha256()
+    for q, name, f, N in BRIDGE_CELLS:
+        F = make_field(q)
+        K = FracField(PolyRing(F, "theta"))
+        M = DrinfeldModule(F, K, K.gen(), [K.frac(list(c)) for c in BRIDGE_MODULES[name]])
+        rep = main_theorem_check(M, PolyRing(F, "x").poly(f), M.rank, N)
+        assert rep["failures"] == []
+        h.update((json.dumps(rep) + "\n").encode())
+    assert h.hexdigest() == BRIDGE_SHA256

@@ -49,6 +49,26 @@ def test_divmod_roundtrip(ac, bc):
 
 
 @settings(max_examples=60)
+@given(st.sampled_from([(2, 1), (5, 1), (2, 2), (3, 2)]), st.data())
+def test_mod_is_the_divmod_remainder(pe, data):
+    # F_p takes the int-list division, F_{p^e} the element path
+    F = make_field(*pe)
+    ring = PolyRing(F, "t")
+    coeffs = st.lists(st.lists(st.integers(0, F.p - 1), min_size=F.e, max_size=F.e),
+                      min_size=0, max_size=6)
+    a = ring.poly([F.elem(c) for c in data.draw(coeffs)])
+    b = ring.poly([F.elem(c) for c in data.draw(coeffs)])
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a % b
+        with pytest.raises(ZeroDivisionError):
+            divmod(a, b)
+        return
+    q, r = divmod(a, b)
+    assert a % b == r and q * b + r == a
+
+
+@settings(max_examples=60)
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=5),
        st.lists(st.integers(0, 2), min_size=1, max_size=5))
 def test_inv_mod_property(hc, fc):

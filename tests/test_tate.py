@@ -5,12 +5,11 @@ import pytest
 from drinfeld_weil import (DrinfeldModule, FracField, PolyRing, agf,
                            agf_remainder, c_coeffs, ev_remainder, exp_coeffs,
                            exp_qexp, hasse_schmidt, hermite_jets, make_field,
-                           moore_series, mp_coeffs, remainder_via_interpolation,
-                           twist)
+                           moore_det, mp_coeffs, remainder_via_interpolation)
 from drinfeld_weil.errors import PoleOnModulus
 from drinfeld_weil.polys import lift_poly, poly_gcd
 from drinfeld_weil.tate import band_monomials, mono_str
-from drinfeld_weil.weil_ops import dual_map
+from drinfeld_weil.weil_ops import dual_map, weil_op2_quotient
 
 F3 = make_field(3)
 Rth = PolyRing(F3, "theta")
@@ -213,18 +212,19 @@ def test_agf_vanishing_term_when_g1_zero():
 
 def test_twist_action():
     w = agf(carlitz(), "Z", 0)
-    tw = twist(w, 1)
+    tw = w.frobenius(1)
     assert tw.coeff((("Z", 1),)) == KT.frac(RtK.one(),
                                             RtK.poly([THETA ** 3, -(K.one())]))
     assert tw.caps == {"Z": 1}
     w1 = agf(carlitz(), "Z", 1)
-    assert twist(w1, 1).terms == (twist(w1, 1) + twist(w1, 1) - twist(w1, 1)).terms
+    tw1 = w1.frobenius(1)
+    assert tw1.terms == (tw1 + tw1 - tw1).terms
 
 
 def test_twist_commutes_with_remainder():
     f = Rq.poly([1, 0, 1])
     w = agf(carlitz(), "Z", 1)
-    lhs = agf_remainder(twist(w, 1), f)
+    lhs = agf_remainder(w.frobenius(1), f)
     rhs = [s.frobenius(1) for s in agf_remainder(w, f)]
     for a, b in zip(lhs, rhs):
         assert a.mismatches(b) == []
@@ -267,11 +267,11 @@ def test_remainder_coefficient_theorem_truncated():
 def test_moore_series_shapes():
     M = carlitz()
     w1, w2 = agf(M, "Z1", 1), agf(M, "Z2", 1)
-    assert moore_series([w1]) is w1
-    kappa = moore_series([w1, w2])
-    manual = w1 * twist(w2, 1) - w2 * twist(w1, 1)
+    assert moore_det([w1], M.q) is w1
+    kappa = moore_det([w1, w2], M.q)
+    manual = w1 * w2.frobenius(1) - w2 * w1.frobenius(1)
     assert kappa.terms == manual.terms
-    assert moore_series([w1, w1]).is_zero()
+    assert moore_det([w1, w1], M.q).is_zero()
 
 
 def test_qexpansion_guard_band():
@@ -301,6 +301,21 @@ def test_mp_coeffs_examples():
     for l in range(4):
         for Ei in mp_coeffs(p, l):
             assert Ei.is_zero() or Ei.degree < (l + 1) * 2
+
+
+def test_mp_coeffs_match_the_quotient_operator():
+    # E_i^(0)(x) is the t^i-coefficient of (p(t) - p(x)) / (t - x), which
+    # weil_op2_quotient builds without the dual map
+    for q in (2, 3, 5):
+        F = make_field(q)
+        Rt = PolyRing(F, "t")
+        rng = random.Random(q)
+        for _ in range(12):
+            d = rng.randrange(1, 5)
+            p = Rt.poly([rng.randrange(q) for _ in range(d)] + [1])
+            got = {(j, i): c for i, Ei in enumerate(mp_coeffs(p, 0))
+                   for j, c in enumerate(Ei.coeffs) if not c.is_zero()}
+            assert got == weil_op2_quotient(p).terms
 
 
 def test_derivative_congruence_truncated():
