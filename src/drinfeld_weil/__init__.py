@@ -13,9 +13,10 @@ from .polys import (FracField, PolyRing, RatFunc, UniPoly, inv_mod,
                     is_irreducible_poly, poly_gcd)
 from .series import (Differential, LaurentAtInfinity, laurent_at_infinity,
                      residue_at_infinity, residue_at_point)
-from .tate import (QExpansion, RemainderPoly, TruncAGF, agf, agf_remainder,
-                   c_coeffs, ev_remainder, exp_qexp, hasse_schmidt,
-                   hermite_jets, mp_coeffs, remainder_via_interpolation)
+from .tate import (QExpansion, RemainderPoly, TruncAGF, agf, agf_mod,
+                   agf_remainder, c_coeffs, ev_remainder, exp_qexp,
+                   hasse_schmidt, hermite_jets, mp_coeffs,
+                   remainder_via_interpolation)
 from .twisted import TwistedPoly
 from .weil_ops import (dual_map, katen_recursion, rank3_closed,
                        reduce_mod_star, star_action, tree_product, weil_op2,

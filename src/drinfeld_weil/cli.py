@@ -24,6 +24,10 @@ from .weil_ops import weil_op_r
 
 USAGE_ERROR = 2
 MATH_ERROR = 1
+# weil-op refuses, before any work, an operator of rank above MAX_RANK or
+# with more than MAX_OPERATOR_TERMS terms; deg(f)^rank bounds the count
+MAX_RANK = 1000
+MAX_OPERATOR_TERMS = 100_000
 
 _MATH_ERRORS = (SplittingFieldTooLarge, BadCharacteristic, NotTorsion,
                 NotInvertibleModF, PoleOnModulus, NotATree,
@@ -72,7 +76,7 @@ def _q_field(args) -> FiniteField:
 
 def _module_from_args(args) -> DrinfeldModule:
     qf = _q_field(args)
-    ext = getattr(args, "field_ext", 1) or 1
+    ext = args.field_ext
     if ext < 1:
         raise UsageError("--field-ext must be >= 1")
     try:
@@ -115,6 +119,12 @@ def cmd_weil_op(args) -> int:
     f = _modulus_poly(args, qf, var="t")
     if args.rank < 1:
         raise UsageError("--rank must be >= 1")
+    if args.rank > MAX_RANK:
+        raise UsageError(f"--rank must be <= {MAX_RANK}")
+    n = int(f.degree)
+    if n ** args.rank > MAX_OPERATOR_TERMS:
+        raise UsageError(f"operator would have up to deg(f)^rank = {n}^{args.rank} "
+                         f"terms, more than {MAX_OPERATOR_TERMS}")
     op = weil_op_r(f, args.rank)
     if args.format == "latex":
         print(op.latex())
@@ -183,6 +193,8 @@ def cmd_verify(args) -> int:
     if args.suite not in SUITES and args.suite != "all":
         print(f"unknown suite: {args.suite}", file=sys.stderr)
         return USAGE_ERROR
+    if args.cases is not None and args.cases < 1:
+        raise UsageError("--cases must be >= 1")
     reports = run_suite(args.suite, seed=args.seed, cases=args.cases)
     failures = sum(len(r["failures"]) for r in reports)
     body = reports[0] if len(reports) == 1 else reports

@@ -4,7 +4,13 @@ generating functions with formal lattice symbols.
 The f-remainder of a rational function in t (coefficients in a field K,
 typically F_q(theta)) is the unique polynomial of degree < deg f
 representing it modulo f: the denominator is cleared by its inverse
-mod f, so higher-order poles need no special casing.
+mod f, so higher-order poles need no special casing.  Remainders form
+the ring K[t]/(f) (RemainderPoly), and since f has F_q coefficients the
+remainder map commutes with the twist.  agf_mod gives the remainder of
+a generating function in closed form, with q-expansion coefficients;
+the main bridge takes its Moore determinant there.  agf followed by
+agf_remainder, through K(t) values, is the independent route the tests
+compare against.
 
 A truncated generating function is a finitely supported map from
 q-power monomials in formal symbols (Z^{q^i}, products such as
@@ -28,7 +34,7 @@ from .fields import embed, make_field
 from .modules import DrinfeldModule, ExpCoeffs, exp_coeffs
 from .multipoly import MPoly, MPolyRing
 from .polys import FracField, PolyRing, RatFunc, UniPoly, inv_mod, lift_poly, poly_gcd
-from .weil_ops import weil_op2
+from .weil_ops import dual_map, weil_op2
 
 INF_CAP = 10 ** 9
 
@@ -38,12 +44,54 @@ INF_CAP = 10 ** 9
 
 @dataclass(frozen=True)
 class RemainderPoly:
-    """Polynomial of degree < deg f, as its coefficient tuple."""
+    """Element of L[t]/(f), f monic over F_q: the coefficient tuple of its
+    representative of degree < deg f.
+
+    Coefficients are field elements or q-expansions.  Taking remainders
+    is a ring homomorphism that commutes with the twist, which raises
+    every coefficient to the q-th power (.frobenius for q-expansions) and
+    fixes t, since f has F_q coefficients."""
     f: UniPoly
     coeffs: tuple
 
     def coeff(self, i):
         return self.coeffs[i]
+
+    def _check(self, other):
+        if not isinstance(other, RemainderPoly) or other.f != self.f:
+            raise ValueError("remainders modulo different polynomials")
+
+    def __add__(self, other):
+        self._check(other)
+        return RemainderPoly(self.f, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self):
+        return RemainderPoly(self.f, tuple(-a for a in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        """Schoolbook product, then t^k -> t^k - t^(k-n) f(t) from the top."""
+        self._check(other)
+        n = len(self.coeffs)
+        prod = [None] * (2 * n - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                ab = a * b
+                prod[i + j] = ab if prod[i + j] is None else prod[i + j] + ab
+        low = [(j, c) for j, c in enumerate(self.f.coeffs[:n]) if not c.is_zero()]
+        for k in range(2 * n - 2, n - 1, -1):
+            for j, c in low:
+                prod[k - n + j] = prod[k - n + j] - prod[k] * c
+        return RemainderPoly(self.f, tuple(prod[:n]))
+
+    def frobenius(self, k: int):
+        """Twist coefficient-wise by q^k, q the order of f's field."""
+        qk = self.f.ring.field.order ** k
+        return RemainderPoly(self.f, tuple(
+            c.frobenius(k) if hasattr(c, "frobenius") else c ** qk
+            for c in self.coeffs))
 
 
 def ev_remainder(w, f: UniPoly) -> RemainderPoly:
@@ -340,6 +388,31 @@ def agf(M: DrinfeldModule, sym: str, N: int, ec: ExpCoeffs | None = None) -> Tru
         den = Rt.poly([M.theta ** (M.q ** i), -K.one()])
         terms[((sym, i),)] = RatFunc(KT, Rt.constant(ei), den)
     return TruncAGF(KT, M.q, terms, {sym: N})
+
+
+def eval_at_theta(M: DrinfeldModule, f: UniPoly):
+    """f(theta) inside the base field of the module."""
+    acc = M.base.zero()
+    for c in reversed(f.coeffs):
+        acc = acc * M.theta + M.embed_scalars(c)
+    return acc
+
+
+def agf_mod(M: DrinfeldModule, f: UniPoly, sym: str, N: int,
+            ec: ExpCoeffs | None = None) -> RemainderPoly:
+    """f-remainder of agf(M, sym, N) in closed form, with no K(t) values.
+
+    1/(c - t) = O_f^(2)(t, c)/f(c) mod f, so the t^k-coefficient of the
+    remainder is sum_i e_i b_k(theta^{q^i})/f(theta^{q^i}) Z^{q^i} with
+    b_k = D_f(t^k), i.e. exp_qexp(M, b_k(theta)/f(theta), sym, N).  As
+    f(theta^{q^i}) = f(theta)^{q^i}, one test covers every pole."""
+    ec = ec or exp_coeffs(M, N)
+    f_theta = eval_at_theta(M, f)
+    if f_theta.is_zero():
+        raise PoleOnModulus(f"theta is a root of {f}")
+    return RemainderPoly(f, tuple(
+        exp_qexp(M, eval_at_theta(M, dual_map(f, k)) / f_theta, sym, N, ec)
+        for k in range(int(f.degree))))
 
 
 def exp_qexp(M: DrinfeldModule, c, sym: str, N: int, ec: ExpCoeffs | None = None) -> QExpansion:

@@ -420,7 +420,7 @@ def suite_agf(seed=0, cases=None) -> dict:
             n = int(f.degree)
             tag = f"{name} f={f}"
             slots = tate.c_coeffs(M, f, N, ec=ec)
-            fth = pairing_mod.eval_at_theta(M, f)
+            fth = tate.eval_at_theta(M, f)
             for i in range(n):
                 dfi = K.coerce(lift_poly(W.dual_map(f, i), Rth)(Rth.gen()))
                 want = tate.exp_qexp(M, dfi / fth, "Z", N, ec=ec)
@@ -473,7 +473,7 @@ def suite_maurischat_perkins(seed=0, cases=None) -> dict:
 
     for name, M in (("carlitz", carlitz), ("rank2", rank2)):
         ec = exp_coeffs(M, N)
-        pk_theta = pairing_mod.eval_at_theta(M, p)
+        pk_theta = tate.eval_at_theta(M, p)
         for l in (0, 1):
             Es = tate.mp_coeffs(p, l)
             for i, Ei in enumerate(Es):

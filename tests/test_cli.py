@@ -57,6 +57,28 @@ def test_weil_op_large_prime_square_q_is_fast(capsys):
     assert code == 0 and out.strip() == "X1 + X2"
 
 
+def test_weil_op_oversized_operator_exit_2_fast(capsys):
+    # deg(f)^rank = 6^8 terms would print 27 MB; the count is refused first
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "weil-op", "--q", "2", "--f", "1,1,1,1,1,1,1",
+                             "--rank", "8", "--format", "json")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err == ("error: operator would have up to deg(f)^rank = 6^8 terms, "
+                   "more than 100000\n")
+    code, out, err = run_cli(capsys, "weil-op", "--q", "2", "--f", "1,1",
+                             "--rank", "1001")
+    assert code == 2 and out == "" and err == "error: --rank must be <= 1000\n"
+
+
+def test_weil_op_bound_admits_the_largest_benchmark_cells(capsys):
+    # rank 6 with deg f = 4 (4^6 = 4096 terms) and the bound's edge cases
+    for f, r in (("1,1,1,1,1", 6), ("1,1,1,1,1,1", 7), ("1,1", 1000)):
+        code, out, _ = run_cli(capsys, "weil-op", "--q", "2", "--f", f,
+                               "--rank", str(r), "--format", "json")
+        assert code == 0 and json.loads(out)["terms"]
+
+
 def test_q_product_of_two_large_primes_exit_2_fast(capsys):
     q = str(100000007 * 100000037)
     t0 = time.perf_counter()
@@ -162,6 +184,14 @@ def test_torsion_bad_characteristic_exit_1(capsys):
     assert "BadCharacteristic" in err
 
 
+def test_torsion_field_ext_zero_exit_2(capsys):
+    for ext in ("0", "-1"):
+        code, out, err = run_cli(capsys, "torsion", "--q", "2", "--theta", "1",
+                                 "--g", "1", "--f", "0,1", "--field-ext", ext)
+        assert code == 2 and out == ""
+        assert err == "error: --field-ext must be >= 1\n"
+
+
 def test_torsion_bad_config_exit_2(capsys):
     code, _, _ = run_cli(capsys, "torsion", "--q", "2", "--theta", "0,0,9,9",
                          "--g", "1", "--f", "0,1")
@@ -256,6 +286,14 @@ def test_verify_main_theorem_suite(capsys):
     assert code == 0
     body = json.loads(out)
     assert body["failures"] == [] and body["cases"] >= 12
+
+
+def test_verify_cases_below_one_exit_2(capsys):
+    for cases in ("0", "-3"):
+        code, out, err = run_cli(capsys, "verify", "--suite", "remainders",
+                                 "--cases", cases)
+        assert code == 2 and out == ""
+        assert err == "error: --cases must be >= 1\n"
 
 
 def test_verify_trunc_is_not_an_option(capsys):

@@ -1,14 +1,16 @@
 import hashlib
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from drinfeld_weil import (DrinfeldModule, FracField, MPoly, MPolyRing,
-                           PolyRing, agf, diamond_moore, embed, exp_coeffs,
+                           PolyRing, agf, agf_mod, agf_remainder,
+                           diamond_moore, embed, exp_coeffs,
                            main_theorem_check, make_field, moore_det,
                            torsion_basis, weil_pairing)
-from drinfeld_weil.errors import NotTorsion
+from drinfeld_weil.errors import NotTorsion, PoleOnModulus
 from drinfeld_weil.weil_ops import weil_op_r, weil_op_rt
 
 F2 = make_field(2)
@@ -248,6 +250,19 @@ def test_moore_det_of_rank3_generating_functions_matches_cofactor():
     assert kappa == cofactor_det(moore_matrix(series, M.q))
 
 
+def test_moore_det_of_rank3_remainders_matches_cofactor():
+    # the same module's remainders in F_2(theta)[t]/(t^2 + t + 1)
+    Rth = PolyRing(F2, "theta")
+    K = FracField(Rth)
+    M = DrinfeldModule(F2, K, K.gen(), [K.one(), K.zero(), K.one()])
+    f = PolyRing(F2, "x").poly([1, 1, 1])
+    ec = exp_coeffs(M, 1)
+    rems = [agf_mod(M, f, f"Z{i + 1}", 1, ec) for i in range(3)]
+    kappa = moore_det(rems, M.q)
+    assert kappa == cofactor_det(moore_matrix(rems, M.q))
+    assert any(not c.is_zero() for c in kappa.coeffs)
+
+
 # the (q, module, f, N) cells of the bridge benchmark, with g as
 # polynomials in theta and one fixed f per cell
 BRIDGE_MODULES = {"carlitz": ((1,),), "rank2": ((0, 1), (1,)),
@@ -281,3 +296,47 @@ def test_main_theorem_reports_on_bridge_cells_pinned():
         assert rep["failures"] == []
         h.update((json.dumps(rep) + "\n").encode())
     assert h.hexdigest() == BRIDGE_SHA256
+
+
+def _bridge_module(q, gs):
+    F = make_field(q)
+    K = FracField(PolyRing(F, "theta"))
+    return DrinfeldModule(F, K, K.gen(), [K.frac(list(c)) for c in gs])
+
+
+def test_bridge_left_side_matches_series_oracle():
+    # Moore determinant of the remainders against the remainder of the
+    # Moore determinant of the K(t)-valued generating functions: the same
+    # terms and the same caps, which fix monomials_checked
+    for q, name, f, N in BRIDGE_CELLS:
+        M = _bridge_module(q, BRIDGE_MODULES[name])
+        fx = PolyRing(M.q_field, "x").poly(f)
+        ec = exp_coeffs(M, N)
+        syms = [f"Z{i + 1}" for i in range(M.rank)]
+        new = moore_det([agf_mod(M, fx, s, N, ec) for s in syms], q).coeffs
+        old = agf_remainder(moore_det([agf(M, s, N, ec) for s in syms], q), fx)
+        assert [(a.terms, a.caps) for a in new] == [(b.terms, b.caps) for b in old]
+
+
+@pytest.mark.parametrize("gs, f, N", [
+    (((0, 1), (1,)), [0, 1], 3),        # rank 2, g = (theta, 1)
+    (((0, 1), (1,)), [1, 1], 3),
+    (((1,), (), (1,)), [1, 1], 2),      # rank 3, g = (1, 0, 1)
+    (((1,), (), (1,)), [0, 1], 2),
+])
+def test_main_theorem_deeper_cells_over_f3(gs, f, N):
+    M = _bridge_module(3, gs)
+    t0 = time.perf_counter()
+    rep = main_theorem_check(M, PolyRing(M.q_field, "x").poly(f), M.rank, N)
+    assert time.perf_counter() - t0 < 5.0
+    assert rep["failures"] == [] and rep["monomials_checked"] > 0
+
+
+def test_main_theorem_pole_on_modulus():
+    # theta = 1 is a root of x - 1 (depth 0 needs no division by
+    # theta^q - theta)
+    F = make_field(3)
+    K = FracField(PolyRing(F, "theta"))
+    M = DrinfeldModule(F, K, K.one(), [K.one()])
+    with pytest.raises(PoleOnModulus):
+        main_theorem_check(M, PolyRing(F, "x").poly([2, 1]), 1, 0)

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from drinfeld_weil import (DrinfeldModule, FracField, PolyRing, agf,
+from drinfeld_weil import (DrinfeldModule, FracField, PolyRing, agf, agf_mod,
                            agf_remainder, c_coeffs, ev_remainder, exp_coeffs,
                            exp_qexp, hasse_schmidt, hermite_jets, make_field,
                            moore_det, mp_coeffs, remainder_via_interpolation)
@@ -78,6 +79,71 @@ def test_theta_pole_remainder_closed_form():
         assert rr.is_zero()
         scaled = quot * (K.one() / fth)
         assert list(rem.coeffs) == [scaled.coeff(i) for i in range(d)]
+
+
+# ---------------------------------------------------------------------------
+# the remainder ring F_q(theta)[t]/(f)
+
+def twist_kt(w):
+    """Raise the F_3(theta) coefficients of w in K(t) to the cube; t fixed."""
+    return KT.frac(w.num.map_coeffs(lambda c: c ** 3),
+                   w.den.map_coeffs(lambda c: c ** 3))
+
+
+K_ELEMS = st.lists(st.integers(0, 2), max_size=3).map(K.frac)
+T_POLYS = st.lists(K_ELEMS, min_size=1, max_size=3).map(RtK.poly)
+MODULI = st.lists(st.integers(0, 2), max_size=2).map(lambda cs: Rq.poly(cs + [1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(MODULI, T_POLYS, T_POLYS, T_POLYS, T_POLYS)
+def test_remainder_map_is_a_ring_hom_commuting_with_twist(f, n1, d1, n2, d2):
+    f_k = lift_poly(f, RtK)
+    for d in (d1, d2):
+        assume(not d.is_zero() and poly_gcd(d, f_k).degree == 0)
+    w1, w2 = KT.frac(n1, d1), KT.frac(n2, d2)
+    h1, h2 = ev_remainder(w1, f), ev_remainder(w2, f)
+    assert ev_remainder(w1 + w2, f) == h1 + h2
+    assert ev_remainder(w1 - w2, f) == h1 - h2
+    assert ev_remainder(w1 * w2, f) == h1 * h2
+    assert ev_remainder(twist_kt(w1), f) == h1.frobenius(1)
+    assert ev_remainder(twist_kt(twist_kt(w2)), f) == h2.frobenius(2)
+
+
+def test_remainder_ring_rejects_another_modulus():
+    h = ev_remainder(Rq.poly([0, 1]), Rq.poly([1, 0, 1]))
+    g = ev_remainder(Rq.poly([0, 1]), Rq.poly([2, 0, 1]))
+    with pytest.raises(ValueError):
+        h * g
+
+
+def test_agf_mod_slots_are_single_term_remainders():
+    # the Z^{q^i} coefficient of slot k is the t^k-coefficient of
+    # [e_i / (theta^{q^i} - t)]_f
+    N = 2
+    for M in (carlitz(), rank2()):
+        ec = exp_coeffs(M, N)
+        for f in (Rq.gen(), Rq.poly([1, 0, 1]), Rq.poly([2, 1, 1, 1])):
+            h = agf_mod(M, f, "Z", N, ec)
+            assert len(h.coeffs) == f.degree
+            assert all(slot.caps == {"Z": N} for slot in h.coeffs)
+            for i in range(N + 1):
+                term = KT.frac(RtK.constant(ec.e[i]),
+                               RtK.poly([THETA ** 3 ** i, -(K.one())]))
+                rem = ev_remainder(term, f)
+                for k, slot in enumerate(h.coeffs):
+                    assert slot.coeff((("Z", i),)) == rem.coeffs[k]
+
+
+def test_agf_mod_pole_on_modulus():
+    # theta = 1 is a root of f = x - 1; at depth 0 the exponential data
+    # exist, and both routes refuse the pole
+    M = DrinfeldModule(F3, K, K.one(), [K.one()])
+    f = Rq.poly([2, 1])
+    with pytest.raises(PoleOnModulus):
+        agf_mod(M, f, "Z", 0)
+    with pytest.raises(PoleOnModulus):
+        agf_remainder(agf(M, "Z", 0), f)
 
 
 # ---------------------------------------------------------------------------
