@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .errors import (BadCharacteristic, NotATree, NotInvertibleModF,
@@ -28,6 +29,12 @@ MATH_ERROR = 1
 # with more than MAX_OPERATOR_TERMS terms; deg(f)^rank bounds the count
 MAX_RANK = 1000
 MAX_OPERATOR_TERMS = 100_000
+# pairing refuses, before the torsion basis is built, a module whose
+# pairing could expand more than MAX_PAIRING_TERMS Moore terms:
+# deg(f)^rank operator terms, rank! permutations each.  With q = 2 and
+# deg f = 1, rank 7 (5,040) answers in 0.4 s, rank 8 took 4 s and rank 9
+# 40 s; the cost of a term also grows with the splitting field.
+MAX_PAIRING_TERMS = 10_000
 
 _MATH_ERRORS = (SplittingFieldTooLarge, BadCharacteristic, NotTorsion,
                 NotInvertibleModF, PoleOnModulus, NotATree,
@@ -157,6 +164,10 @@ def cmd_torsion(args) -> int:
 def cmd_pairing(args) -> int:
     M = _module_from_args(args)
     f = _modulus_poly(args, M.q_field)
+    n, r = int(f.degree), M.rank
+    if n ** r * math.factorial(r) > MAX_PAIRING_TERMS:
+        raise UsageError(f"pairing would expand up to deg(f)^rank * rank! = "
+                         f"{n}^{r} * {r}! Moore terms, more than {MAX_PAIRING_TERMS}")
     tb = torsion_basis(M, f)
     Mx = tb.module_ext
     qf = M.q_field

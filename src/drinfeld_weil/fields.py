@@ -6,6 +6,11 @@ coefficient list, constant term first; elements are residue polynomials
 of degree < e stored as length-e tuples of ints.  All values are
 immutable, equality is structural, and every operation is a pure
 function, so instances can be shared freely between threads.
+
+F_p[y] arithmetic on int lists has one kernel here, _pmul (convolution)
+and _pdivmod (long division); the modulus search, the reduction table
+of each field and polys.UniPoly over F_p all run on it.  Element
+products keep their own table reduction, which is faster per product.
 """
 
 from __future__ import annotations
@@ -52,8 +57,7 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# int-list polynomial helpers over F_p (constant term first), used for
-# modulus bookkeeping only.  Element arithmetic lives on FieldElem.
+# The int-list F_p[y] kernel, constant term first.
 
 def _trim(a):
     while a and a[-1] == 0:
@@ -61,44 +65,51 @@ def _trim(a):
     return a
 
 
-def _pmul(a, b, p):
+def _pmul(a, b):
+    """Product of two int lists, coefficients left unreduced."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
+                out[i + j] += ai * bj
+    return out
 
 
-def _pmod(a, m, p):
-    a = _trim([c % p for c in a])
-    dm = len(m) - 1
+def _pdivmod(a, m, p):
+    """(quotient, remainder) of a by m over F_p, by long division.
+
+    a may hold any ints; m is trimmed with m[-1] prime to p.  Both
+    results are reduced mod p and trimmed, deg remainder < deg m."""
+    rem = _trim([c % p for c in a])
+    d = len(m) - 1
     inv_lead = pow(m[-1], p - 2, p)
-    while a and len(a) - 1 >= dm:
-        c = (a[-1] * inv_lead) % p
-        shift = len(a) - 1 - dm
+    quot = [0] * max(len(rem) - d, 0)
+    while len(rem) > d:
+        c = (rem[-1] * inv_lead) % p
+        shift = len(rem) - 1 - d
+        quot[shift] = c
         for j, mj in enumerate(m):
-            a[shift + j] = (a[shift + j] - c * mj) % p
-        _trim(a)
-    return a
+            rem[shift + j] = (rem[shift + j] - c * mj) % p
+        _trim(rem)
+    return quot, rem
 
 
 def _pgcd(a, b, p):
     a, b = list(a), list(b)
     while _trim(b):
-        a, b = b, _pmod(a, b, p)
+        a, b = b, _pdivmod(a, b, p)[1]
     return a
 
 
 def _ppow_mod(base, exp, m, p):
     result = [1]
-    base = _pmod(list(base), m, p)
+    base = _pdivmod(base, m, p)[1]
     while exp:
         if exp & 1:
-            result = _pmod(_pmul(result, base, p), m, p)
-        base = _pmod(_pmul(base, base, p), m, p)
+            result = _pdivmod(_pmul(result, base), m, p)[1]
+        base = _pdivmod(_pmul(base, base), m, p)[1]
         exp >>= 1
     return result
 
@@ -130,7 +141,7 @@ def _is_irreducible(m, p):
     for k in range(1, d + 1):
         frob = _ppow_mod(frob, p, m, p)
         powers[k] = frob
-    if _pmod(_minus_y(powers[d], p), m, p):
+    if _minus_y(powers[d], p):  # deg < d, so already reduced mod m
         return False
     for ell in _prime_divisors(d):
         g = _pgcd(list(m), _minus_y(powers[d // ell], p), p)
@@ -303,17 +314,12 @@ class FiniteField:
         self.e = e
         self.modulus = tuple(modulus)
         self.order = p ** e
-        # reduction table: y^k for k in [e, 2e-2]
-        red = []
-        cur = [(-c) % p for c in modulus[:-1]]  # y^e
-        red.append(tuple(cur))
-        for _ in range(e - 2):
-            cur = cur[:]  # y^(k+1) = y * y^k reduced
-            carry = cur[-1]
-            cur = [0] + cur[:-1]
-            if carry:
-                cur = [(a - carry * c) % p for a, c in zip(cur, modulus[:-1])]
-            red.append(tuple(cur))
+        # reduction table: y^k mod the modulus for k in [e, 2e-2], each
+        # power one kernel step from the one before
+        red, cur = [], [0] * (e - 1) + [1]
+        for _ in range(e - 1):
+            cur = _pdivmod([0] + cur, modulus, p)[1]
+            red.append(tuple(cur + [0] * (e - len(cur))))
         self._red = red
 
     def elem(self, value) -> FieldElem:

@@ -130,9 +130,6 @@ class TorsionBasis:
     f: UniPoly
     s: int
 
-    def dimension(self) -> int:
-        return len(self.points)
-
     def cardinality(self) -> int:
         return self.module.q ** len(self.points)
 

@@ -70,13 +70,6 @@ def _phi_x_apply(M: DrinfeldModule, v):
     return M.phi_x().apply(v)
 
 
-def _scale(M: DrinfeldModule, v, c):
-    """Multiply by a scalar from F_q."""
-    if isinstance(v, QExpansion):
-        return v * c
-    return v * M.embed_scalars(c)
-
-
 def _zero_like(M: DrinfeldModule, mus):
     if isinstance(mus[0], QExpansion):
         caps = {}
@@ -112,7 +105,7 @@ def diamond_moore(P: MPoly, M: DrinfeldModule, mus, t_slots=None):
         out = zero
     for exps, c in sorted(P.terms.items()):
         args = [pows[i][exps[i]] for i in range(r)]
-        val = _scale(M, moore_det(args, q), c)
+        val = moore_det(args, q) * M.embed_scalars(c)
         if has_t:
             out[exps[r]] = out[exps[r]] + val
         else:

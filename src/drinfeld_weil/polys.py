@@ -5,6 +5,9 @@ The coefficient field is any object with ``zero()``, ``one()`` and a
 that means FiniteField or FracField, so the same machinery serves
 F_q[t], F_q(theta), and polynomials in t with F_q(theta) coefficients.
 
+Over a prime field F_p, products and long division run on the int-list
+kernel of fields (_pmul, _pdivmod) instead of on element objects.
+
 Coefficient lists are constant term first.  Polynomials are kept in
 canonical trimmed form; the zero polynomial has the dedicated degree
 sentinel NEG_INF rather than an integer.
@@ -15,27 +18,24 @@ from __future__ import annotations
 import math
 
 from .errors import NotInvertibleModF
+from .fields import FieldElem, FiniteField, _pdivmod, _pmul, _prime_divisors, _trim
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
 
 def _prime_field_of(ring):
-    """The coefficient field if it is a prime finite field, else None.
-
-    Multiplication and division over F_p run on plain int lists; the
-    generic element-object path handles every other coefficient field."""
+    """The coefficient field if it is a prime finite field, else None."""
     field = ring.field
-    if getattr(field, "e", None) == 1 and hasattr(field, "p"):
-        return field
-    return None
+    return field if isinstance(field, FiniteField) and field.e == 1 else None
+
+
+def _ints(poly):
+    return [c.coeffs[0] for c in poly.coeffs]
 
 
 def _from_ints(ring, field, ints):
-    from .fields import FieldElem
-    p = field.p
-    while ints and ints[-1] % p == 0:
-        ints.pop()
-    return UniPoly(ring, tuple(FieldElem(field, (v % p,)) for v in ints))
+    """The polynomial over the prime field with coefficients ints in [0, p)."""
+    return UniPoly(ring, tuple(FieldElem(field, (v,)) for v in _trim(ints)))
 
 
 class PolyRing:
@@ -145,14 +145,9 @@ class UniPoly:
                 return self.ring.zero()
             prime = _prime_field_of(self.ring)
             if prime is not None:
-                a = [c.coeffs[0] for c in self.coeffs]
-                b = [c.coeffs[0] for c in other.coeffs]
-                out = [0] * (len(a) + len(b) - 1)
-                for i, ai in enumerate(a):
-                    if ai:
-                        for j, bj in enumerate(b):
-                            out[i + j] += ai * bj
-                return _from_ints(self.ring, prime, out)
+                p = prime.p
+                out = _pmul(_ints(self), _ints(other))
+                return _from_ints(self.ring, prime, [c % p for c in out])
             zero = self.ring.field.zero()
             out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
@@ -185,28 +180,11 @@ class UniPoly:
             raise ZeroDivisionError("polynomial division by zero")
         return other
 
-    def _int_divmod(self, other, p):
-        """Long division over F_p on int lists: (quotient, remainder)."""
-        bc = [c.coeffs[0] for c in other.coeffs]
-        inv_lead = pow(bc[-1], p - 2, p)
-        quot = [0] * max(len(self.coeffs) - len(bc) + 1, 0)
-        rem = [c.coeffs[0] for c in self.coeffs]
-        d = len(bc) - 1
-        while rem and len(rem) - 1 >= d:
-            c = (rem[-1] * inv_lead) % p
-            shift = len(rem) - 1 - d
-            quot[shift] = c
-            for j, oc in enumerate(bc):
-                rem[shift + j] = (rem[shift + j] - c * oc) % p
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return quot, rem
-
     def __divmod__(self, other):
         other = self._divisor(other)
         prime = _prime_field_of(self.ring)
         if prime is not None:
-            quot, rem = self._int_divmod(other, prime.p)
+            quot, rem = _pdivmod(_ints(self), _ints(other), prime.p)
             return _from_ints(self.ring, prime, quot), _from_ints(self.ring, prime, rem)
         inv_lead = self.ring.field.one() / other.leading()
         quot = [self.ring.field.zero()] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
@@ -229,7 +207,7 @@ class UniPoly:
         prime = _prime_field_of(self.ring)
         if prime is None:
             return divmod(self, other)[1]
-        rem = self._int_divmod(self._divisor(other), prime.p)[1]
+        rem = _pdivmod(_ints(self), _ints(self._divisor(other)), prime.p)[1]
         return _from_ints(self.ring, prime, rem)
 
     def monic(self):
@@ -371,18 +349,7 @@ def is_irreducible_poly(f: UniPoly) -> bool:
         powers[k] = b
     if powers[d] != t:
         return False
-    div = 2
-    dd = d
-    prime_divs = []
-    while div * div <= dd:
-        if dd % div == 0:
-            prime_divs.append(div)
-            while dd % div == 0:
-                dd //= div
-        div += 1
-    if dd > 1:
-        prime_divs.append(dd)
-    for ell in prime_divs:
+    for ell in _prime_divisors(d):
         if poly_gcd(powers[d // ell] - t, f).degree != 0:
             return False
     return True

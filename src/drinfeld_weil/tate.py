@@ -18,10 +18,11 @@ Z1^{q^a} Z2^{q^b}, possibly with repeats) to rational functions in t.
 Every value's denominator is a product of factors (theta^{q^j} - t).
 Truncation is tracked per symbol: caps[Z] = N means every coefficient
 involving Z^{q^k} with k <= N is exact (structural zeros included).
-Operations that could produce monomials above a cap drop them, and
-comparisons only assert equality inside the shared guard band.  A
-series is twisted by .frobenius(k); the Moore determinant of series is
-pairing.moore_det, the same one that serves field elements.
+Sums, products and twists keep every monomial they form, including
+those above a cap; only prune (and phi_apply_qexp, which prunes) drops
+them, and comparisons only assert equality inside the shared guard
+band.  A series is twisted by .frobenius(k); the Moore determinant of
+series is pairing.moore_det, the same one that serves field elements.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .fields import embed, make_field
 from .modules import DrinfeldModule, ExpCoeffs, exp_coeffs
 from .multipoly import MPoly, MPolyRing
 from .polys import FracField, PolyRing, RatFunc, UniPoly, inv_mod, lift_poly, poly_gcd
+from .series import _series_div
 from .weil_ops import dual_map, weil_op2
 
 INF_CAP = 10 ** 9
@@ -192,14 +194,7 @@ def hasse_schmidt(w, l: int):
     KT = w.field
     num_jets = [KT.coerce(w.num.hasse_deriv(j)) for j in range(l + 1)]
     den_jets = [KT.coerce(w.den.hasse_deriv(j)) for j in range(l + 1)]
-    inv0 = KT.one() / den_jets[0]
-    cs = []
-    for j in range(l + 1):
-        acc = num_jets[j]
-        for i in range(j):
-            acc = acc - cs[i] * den_jets[j - i]
-        cs.append(acc * inv0)
-    return cs[l]
+    return _series_div(num_jets, den_jets, KT, l + 1)[l]
 
 
 # ---------------------------------------------------------------------------

@@ -309,3 +309,29 @@ def test_verify_text_format(capsys):
                            "--format", "text")
     assert code == 0
     assert "maurischat-perkins" in out and "ok" in out
+
+
+def _unit_selectors(rank):
+    return [arg for i in range(rank)
+            for arg in ("--mu", ",".join("1" if j == i else "0" for j in range(rank)))]
+
+
+def test_pairing_oversized_rank_exit_2_fast(capsys):
+    # phi_x = 1 + tau^12 over F_2, f = x: torsion answers with s = 12, but
+    # the pairing would sum 12! permutations per Moore determinant
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "pairing", "--q", "2", "--theta", "1",
+                             *["--g", "0"] * 11, "--g", "1", "--f", "0,1",
+                             *_unit_selectors(12))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err == ("error: pairing would expand up to deg(f)^rank * rank! = "
+                   "1^12 * 12! Moore terms, more than 10000\n")
+
+
+def test_pairing_bound_admits_its_largest_cell(capsys):
+    # rank 7 with deg f = 1: 7! = 5040 Moore terms, under the bound
+    code, out, err = run_cli(capsys, "pairing", "--q", "2", "--theta", "1",
+                             *["--g", "0"] * 6, "--g", "1", "--f", "0,1",
+                             *_unit_selectors(7))
+    assert (code, out, err) == (0, "W = 1\npsi_f(W) = 0: True\n", "")

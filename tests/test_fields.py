@@ -2,7 +2,7 @@ import itertools
 import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from drinfeld_weil import embed, make_field
 from drinfeld_weil.fields import (PRIME_TEST_LIMIT, RelativeBasis, is_prime,
@@ -291,3 +291,58 @@ def test_chosen_modulus_not_retested(monkeypatch):
     calls.clear()
     make_field(2, 4, [1, 0, 0, 1, 1])
     assert calls == [(1, 0, 0, 1, 1)]  # a caller's modulus is validated
+
+
+def _poly_ints(p):
+    # int lists as the kernel receives them: coefficients may exceed p
+    return st.lists(st.integers(0, 3 * p), min_size=0, max_size=9)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([2, 3, 5, 7, 59023]), st.data())
+def test_pdivmod_contract(p, data):
+    from drinfeld_weil.fields import _pdivmod, _pmul
+    a = data.draw(_poly_ints(p))
+    b = data.draw(_poly_ints(p))
+    # _pmul is the schoolbook product, coefficients unreduced
+    school = [sum(a[i] * b[k - i] for i in range(len(a)) if 0 <= k - i < len(b))
+              for k in range(len(a) + len(b) - 1)] if a and b else []
+    assert _pmul(a, b) == school
+    # a divisor as _pdivmod's callers pass it: reduced, trimmed, nonzero
+    m = [c % p for c in data.draw(_poly_ints(p))]
+    while m and m[-1] == 0:
+        m.pop()
+    if not m:
+        m = [data.draw(st.integers(1, p - 1))]
+    for num in (a, _pmul(a, b)):
+        quot, rem = _pdivmod(num, m, p)
+        assert rem == [] or rem[-1] != 0
+        assert all(0 <= c < p for c in quot + rem)
+        assert len(rem) < len(m)
+        back = _pmul(quot, m) + [0] * len(num)
+        for k in range(max(len(num), len(back))):
+            lhs = back[k] + (rem[k] if k < len(rem) else 0)
+            rhs = num[k] if k < len(num) else 0
+            assert (lhs - rhs) % p == 0, (num, m, quot, rem)
+
+
+def _red_by_shift_and_subtract(p, e, modulus):
+    """The reduction table y^k for k in [e, 2e-2], each power by shifting
+    the one before and subtracting its carry times the modulus."""
+    red = []
+    cur = [(-c) % p for c in modulus[:-1]]  # y^e
+    red.append(tuple(cur))
+    for _ in range(e - 2):
+        carry = cur[-1]
+        cur = [0] + cur[:-1]
+        if carry:
+            cur = [(a - carry * c) % p for a, c in zip(cur, modulus[:-1])]
+        red.append(tuple(cur))
+    return red
+
+
+def test_reduction_table_matches_shift_and_subtract():
+    cells = list(PINNED_MODULI) + [(2, 60)]
+    for p, e in cells:
+        F = make_field(p, e)
+        assert F._red == _red_by_shift_and_subtract(p, e, F.modulus), (p, e)
