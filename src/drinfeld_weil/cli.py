@@ -32,8 +32,9 @@ MAX_OPERATOR_TERMS = 100_000
 # pairing refuses, before the torsion basis is built, a module whose
 # pairing could expand more than MAX_PAIRING_TERMS Moore terms:
 # deg(f)^rank operator terms, rank! permutations each.  With q = 2 and
-# deg f = 1, rank 7 (5,040) answers in 0.4 s, rank 8 took 4 s and rank 9
-# 40 s; the cost of a term also grows with the splitting field.
+# deg f = 1, rank 7 (5,040) answers in 0.2 s, rank 8 takes 1.9 s and
+# rank 9 20 s (2-core container, Python 3.11); the cost of a term also
+# grows with the splitting field.
 MAX_PAIRING_TERMS = 10_000
 
 _MATH_ERRORS = (SplittingFieldTooLarge, BadCharacteristic, NotTorsion,

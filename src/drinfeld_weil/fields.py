@@ -11,11 +11,15 @@ F_p[y] arithmetic on int lists has one kernel here, _pmul (convolution)
 and _pdivmod (long division); the modulus search, the reduction table
 of each field and polys.UniPoly over F_p all run on it.  Element
 products keep their own table reduction, which is faster per product.
+Powers send each factor p of the exponent through the field's
+Frobenius x -> x^p, an F_p-linear map on the basis {y^i} whose matrix
+the kernel builds on first use.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 from . import linalg
 
@@ -244,15 +248,25 @@ class FieldElem:
         return self.inverse() * other
 
     def __pow__(self, n: int):
+        """x^n with n = p^k m, p not dividing m: x^m by left-to-right
+        square-and-multiply, then k applications of the Frobenius map."""
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
+        if n == 0:
+            return self.field.one()
+        field = self.field
+        k = 0
+        while n % field.p == 0:
+            n //= field.p
+            k += 1
+        result = self
+        for bit in bin(n)[3:]:
+            result = result * result
+            if bit == "1":
+                result = result * self
+        if field.e > 1:
+            for _ in range(k):
+                result = field._frob(result)
         return result
 
     def inverse(self):
@@ -321,6 +335,7 @@ class FiniteField:
             cur = _pdivmod([0] + cur, modulus, p)[1]
             red.append(tuple(cur + [0] * (e - len(cur))))
         self._red = red
+        self._frob_rows = None  # built by _frob on first use
 
     def elem(self, value) -> FieldElem:
         if isinstance(value, FieldElem):
@@ -372,6 +387,24 @@ class FiniteField:
                 table = self._red[k - e]
                 out = [(o + c * t) % p for o, t in zip(out, table)]
         return FieldElem(self, tuple(out))
+
+    def _frob(self, a: FieldElem) -> FieldElem:
+        """a^p, as the F_p-linear map sum c_i y^i -> sum c_i (y^p)^i.
+
+        The map's rows are built on first use: column i is (y^p)^i mod
+        the modulus, y^p by the kernel's powering.  That is O(e^3), so it
+        is not part of building the field."""
+        p = self.p
+        if self._frob_rows is None:
+            yp = _ppow_mod([0, 1], p, self.modulus, p)
+            cols, cur = [], [1]
+            for _ in range(self.e):
+                cols.append(cur + [0] * (self.e - len(cur)))
+                cur = _pdivmod(_pmul(cur, yp), self.modulus, p)[1]
+            self._frob_rows = [tuple(col[j] for col in cols) for j in range(self.e)]
+        c = a.coeffs
+        return FieldElem(self, tuple([sum(map(operator.mul, row, c)) % p
+                                      for row in self._frob_rows]))
 
     def describe(self):
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}

@@ -10,7 +10,15 @@ where M(mu_1, ..., mu_r) = det(mu_i^(q^(j-1))) and a monomial
 X_1^(a_1) ... X_r^(a_r) acts as phi_{x^{a_i}} on slot i.  moore_det is
 the package's one Moore determinant.  It takes concrete torsion points
 (field elements in a splitting extension), formal truncated
-q-expansions, truncated generating functions and f-remainders alike.
+q-expansions, truncated generating functions and f-remainders alike:
+a table of each entry's twists, then the signed sum over permutations.
+
+weil_pairing builds each argument's orbit mu, phi_x mu, ...,
+phi_x^(deg f) mu once, reads the torsion check off it, and forms the
+twists of each orbit point once; every one of the deg(f)^r operator
+terms is a signed sum over rows of that table.  diamond_moore shares
+the same per-term sum.
+
 The main bridge check compares the f-remainder of the Moore
 determinant of r generating functions against the operator side, slot
 by t-slot and monomial by monomial inside the truncation guard band.
@@ -38,19 +46,25 @@ def moore_det(mus, q: int):
 
     A field element's twist is its q-th power; everything else
     (q-expansions, generating functions, f-remainders) twists itself by
-    .frobenius(1).  Each entry's twists are formed once, one step at a
-    time, into an r x r table; the determinant is the signed sum over
-    permutations."""
-    r = len(mus)
-    if r == 1:
+    .frobenius(1).  The determinant is the signed sum over permutations
+    of the entries' twist table."""
+    if len(mus) == 1:
         return mus[0]
-    table = []
-    for mu in mus:
-        row = [mu]
-        for _ in range(r - 1):
-            row.append(row[-1].frobenius(1) if hasattr(mu, "frobenius")
-                       else row[-1] ** q)
-        table.append(row)
+    return _signed_sum([_twists(mu, q, len(mus)) for mu in mus])
+
+
+def _twists(mu, q: int, r: int):
+    """mu, mu^q, ..., mu^(q^(r-1)), each twist formed from the one before."""
+    row = [mu]
+    for _ in range(r - 1):
+        row.append(row[-1].frobenius(1) if hasattr(mu, "frobenius")
+                   else row[-1] ** q)
+    return row
+
+
+def _signed_sum(table):
+    """det(table): sum over permutations of sign * prod_i table[i][perm[i]]."""
+    r = len(table)
     acc = None
     for perm in itertools.permutations(range(r)):
         inversions = sum(1 for i in range(r) for j in range(i + 1, r)
@@ -90,40 +104,63 @@ def diamond_moore(P: MPoly, M: DrinfeldModule, mus, t_slots=None):
     r = P.ring.nvars - (1 if has_t else 0)
     if len(mus) != r:
         raise ValueError(f"operator in {r} variables applied to {len(mus)} arguments")
-    q = M.q
-    pows = []
+    orbits = []
     for i, mu in enumerate(mus):
-        row = [mu]
+        orbit = [mu]
         for _ in range(P.degree_in(i)):
-            row.append(_phi_x_apply(M, row[-1]))
-        pows.append(row)
-    zero = _zero_like(M, mus)
+            orbit.append(_phi_x_apply(M, orbit[-1]))
+        orbits.append(orbit)
+    nt = None
     if has_t:
         nt = t_slots if t_slots is not None else P.degree_in(r) + 1
-        out = [zero] * nt
-    else:
-        out = zero
+    return _diamond_orbits(P, M, orbits, nt)
+
+
+def _diamond_orbits(P: MPoly, M: DrinfeldModule, orbits, nt):
+    """diamond_moore from the orbits mu_i, phi_x mu_i, ...: the twists
+    of each orbit point that P reads are formed once, and every term of
+    P is the signed sum over its rows.  nt is the number of t-slots,
+    None without t."""
+    r = len(orbits)
+    twists = [[_twists(v, M.q, r) for v in orbit[:P.degree_in(i) + 1]]
+              for i, orbit in enumerate(orbits)]
+    zero = _zero_like(M, [orbit[0] for orbit in orbits])
+    out = zero if nt is None else [zero] * nt
     for exps, c in sorted(P.terms.items()):
-        args = [pows[i][exps[i]] for i in range(r)]
-        val = moore_det(args, q) * M.embed_scalars(c)
-        if has_t:
-            out[exps[r]] = out[exps[r]] + val
-        else:
+        val = _signed_sum([twists[i][exps[i]] for i in range(r)]) * M.embed_scalars(c)
+        if nt is None:
             out = out + val
+        else:
+            out[exps[r]] = out[exps[r]] + val
     return out
 
 
 def weil_pairing(M: DrinfeldModule, f: UniPoly, mus):
     """Pairing value of r f-torsion points; lands in the f-torsion of
-    the exterior (rank-one) module."""
+    the exterior (rank-one) module.
+
+    Each argument's orbit mu, phi_x mu, ..., phi_x^n mu (n = deg f) is
+    built once.  It gives the torsion check, phi_f mu = sum_k a_k
+    phi_x^k mu for f = sum_k a_k x^k, and the points the operator's
+    terms act on."""
     if len(mus) != M.rank:
         raise ValueError("expected one argument per unit of rank")
-    phi_f = M.phi_of(f)
+    phi_x = M.phi_x()
+    a = [M.embed_scalars(c) for c in f.coeffs]
+    one = M.base.one()
+    orbits = []
     for i, mu in enumerate(mus):
-        if not phi_f.apply(mu).is_zero():
+        orbit = [mu]
+        for _ in range(len(a) - 1):
+            orbit.append(phi_x.apply(orbit[-1]))
+        phi_f_mu = M.base.zero()
+        for ak, v in zip(a, orbit):
+            if not ak.is_zero():
+                phi_f_mu = phi_f_mu + (v if ak == one else ak * v)
+        if not phi_f_mu.is_zero():
             raise NotTorsion(f"argument {i + 1} is not f-torsion")
-    P = weil_op_r(f, M.rank)
-    return diamond_moore(P, M, mus)
+        orbits.append(orbit)
+    return _diamond_orbits(weil_op_r(f, M.rank), M, orbits, None)
 
 
 def main_theorem_check(M: DrinfeldModule, f: UniPoly, r: int, N: int) -> dict:

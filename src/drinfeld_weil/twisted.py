@@ -110,12 +110,16 @@ class TwistedPoly:
         return TwistedPoly(self.field, self.q, out)
 
     def apply(self, mu):
-        """Evaluate as the additive polynomial sum c_i mu^(q^i)."""
+        """Evaluate as the additive polynomial sum c_i mu^(q^i), each
+        mu^(q^i) the q-th power of the one before."""
         acc = None
+        twist = mu
         for i, c in enumerate(self.coeffs):
+            if i:
+                twist = twist ** self.q
             if c.is_zero():
                 continue
-            term = c * mu ** (self.q ** i)
+            term = c * twist
             acc = term if acc is None else acc + term
         if acc is None:
             return self.field.zero() if not hasattr(mu, "field") else mu - mu

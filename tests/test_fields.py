@@ -346,3 +346,93 @@ def test_reduction_table_matches_shift_and_subtract():
     for p, e in cells:
         F = make_field(p, e)
         assert F._red == _red_by_shift_and_subtract(p, e, F.modulus), (p, e)
+
+
+# ---------------------------------------------------------------------------
+# Powers: left-to-right square-and-multiply on the part of the exponent
+# prime to p, the Frobenius map for each factor p.
+
+def _repeated_product(x, n):
+    acc = x.field.one()
+    for _ in range(n):
+        acc = acc * x
+    return acc
+
+
+def _square_and_multiply(x, n):
+    """The right-to-left binary powering that __pow__ replaced."""
+    result = x.field.one()
+    base = x
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
+
+
+POW_FIELDS = [(2, 1), (3, 1), (7, 1), (2, 4), (2, 6), (3, 3), (5, 2), (7, 2)]
+
+
+@pytest.mark.parametrize("p,e", POW_FIELDS)
+def test_pow_matches_repeated_product(p, e):
+    F = make_field(p, e)
+    xs = [F.gen(), F.elem([1] * e), F.elem(list(range(1, e + 1))), F.zero()]
+    exps = set(range(3 * p + 3))
+    exps |= {p ** k for k in range(e + 2)}
+    exps |= {p ** k * m for k in range(1, e + 1) for m in (2, p + 1, 2 * p - 1)}
+    exps.add(F.order - 2)
+    for x in xs:
+        for n in sorted(exps):
+            assert x ** n == _repeated_product(x, n), (p, e, x, n)
+
+
+@pytest.mark.parametrize("p,e", POW_FIELDS)
+def test_negative_pow_is_power_of_inverse(p, e):
+    F = make_field(p, e)
+    for x in (F.gen(), F.elem([1] * e), F.elem(list(range(1, e + 1)))):
+        if x.is_zero():
+            continue
+        inv = next(y for y in F.elements() if x * y == F.one())
+        for n in (1, 2, p, p + 1, 3 * p + 2):
+            assert x ** -n == _repeated_product(inv, n), (p, e, x, n)
+
+
+def test_zero_powers():
+    for p, e in POW_FIELDS:
+        F = make_field(p, e)
+        assert F.zero() ** 0 == F.one()
+        with pytest.raises(ZeroDivisionError):
+            F.zero() ** -1
+
+
+def test_frobenius_map_matches_square_and_multiply():
+    cells = list(PINNED_MODULI) + [(2, 12), (3, 9)]
+    for p, e in cells:
+        F = make_field(p, e)
+        # the map is F_p-linear: the basis fixes it, one dense element
+        # checks the sum
+        xs = [F.elem([0] * i + [1]) for i in range(e)]
+        xs.append(F.elem([(3 * i + 1) % p for i in range(e)]))
+        for x in xs:
+            assert F._frob(x) == _square_and_multiply(x, p), (p, e, x)
+            assert x ** p == F._frob(x)
+
+
+def test_frobenius_map_not_built_with_the_field():
+    F = make_field(2, 12)
+    assert F._frob_rows is None
+    F.gen() ** 3
+    assert F._frob_rows is None
+    F.gen() ** 2
+    assert F._frob_rows is not None
+
+
+def test_pow_p_in_large_characteristic_is_fast():
+    F = make_field(59023, 2)
+    x = F.elem([5, 7])
+    t0 = time.perf_counter()
+    y = x ** F.p
+    assert time.perf_counter() - t0 < 1.0
+    assert y == _square_and_multiply(x, F.p)
+    assert y ** F.p == x  # the Frobenius has order e = 2

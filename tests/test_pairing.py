@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import time
@@ -340,3 +341,150 @@ def test_main_theorem_pole_on_modulus():
     M = DrinfeldModule(F, K, K.one(), [K.one()])
     with pytest.raises(PoleOnModulus):
         main_theorem_check(M, PolyRing(F, "x").poly([2, 1]), 1, 0)
+
+
+# ---------------------------------------------------------------------------
+# The per-term route as the oracle of weil_pairing: the torsion check by
+# phi_f applied as a twisted polynomial, then one moore_det per operator
+# term on the phi_x-powers of the arguments.
+
+def weil_pairing_per_term(M, f, mus):
+    phi_f = M.phi_of(f)
+    for i, mu in enumerate(mus):
+        if not phi_f.apply(mu).is_zero():
+            raise NotTorsion(f"argument {i + 1} is not f-torsion")
+    P = weil_op_r(f, M.rank)
+    pows = []
+    for i, mu in enumerate(mus):
+        row = [mu]
+        for _ in range(P.degree_in(i)):
+            row.append(M.phi_x().apply(row[-1]))
+        pows.append(row)
+    out = M.base.zero()
+    for exps, c in sorted(P.terms.items()):
+        args = [pows[i][exps[i]] for i in range(M.rank)]
+        out = out + moore_det(args, M.q) * M.embed_scalars(c)
+    return out
+
+
+# (q, base degree m, theta, g, f): the ten modules of the pairing
+# benchmark (theta None means the base generator), a modulus with a
+# coefficient other than 0 and 1, then the smallest rank-4 case, which
+# splits in GF(2^7)
+PAIRING_MODULES = (
+    (2, 1, 1, (1, 1), (0, 0, 0, 1)),
+    (3, 1, 1, (1, 1), (0, 0, 1)),
+    (2, 1, 1, (1, 1), (0, 1)),
+    (3, 1, 1, (1, 1), (0, 1)),
+    (2, 2, None, (1, 1), (1, 1)),
+    (2, 3, None, (1, 1), (0, 1)),
+    (5, 1, 2, (1, 2), (0, 1)),
+    (7, 1, 1, (1, 1), (0, 1)),
+    (2, 1, 1, (1, 0, 1), (0, 1)),
+    (3, 1, 1, (1, 1, 1), (0, 1)),
+    (3, 1, 2, (1, 1), (2, 1)),
+    (2, 1, 1, (1, 1, 0, 1), (0, 1)),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def pairing_case(k):
+    q, m, theta, g, f = PAIRING_MODULES[k]
+    qf = make_field(q)
+    if m == 1:
+        M = DrinfeldModule(qf, qf, qf.elem(theta), [qf.elem(c) for c in g])
+    else:
+        base = make_field(q, m)
+        emb = embed(qf, base)
+        M = DrinfeldModule(qf, base, base.gen(), [emb(qf.elem(c)) for c in g], emb)
+    fx = PolyRing(qf, "x").poly(list(f))
+    return fx, torsion_basis(M, fx)
+
+
+def test_rank4_case_splits_in_gf_2_7():
+    _, tb = pairing_case(len(PAIRING_MODULES) - 1)
+    assert tb.module_ext.rank == 4
+    assert (tb.field_ext.p, tb.field_ext.e) == (2, 7)
+
+
+def draw_torsion_points(data, tb):
+    """r points, each an F_q-combination of the basis drawn by hypothesis."""
+    Mx = tb.module_ext
+    qf = tb.module.q_field
+    mus = []
+    for _ in range(Mx.rank):
+        acc = tb.field_ext.zero()
+        for pt in tb.points:
+            c = data.draw(st.integers(0, Mx.q - 1))
+            acc = acc + Mx.embed_scalars(qf.elem(c)) * pt
+        mus.append(acc)
+    return mus
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, len(PAIRING_MODULES) - 1), st.data())
+def test_weil_pairing_matches_per_term_route(k, data):
+    fx, tb = pairing_case(k)
+    mus = draw_torsion_points(data, tb)
+    Mx = tb.module_ext
+    assert weil_pairing(Mx, fx, mus) == weil_pairing_per_term(Mx, fx, mus)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(PAIRING_MODULES) - 1), st.data())
+def test_both_routes_name_the_perturbed_argument(k, data):
+    fx, tb = pairing_case(k)
+    Mx = tb.module_ext
+    mus = draw_torsion_points(data, tb)
+    i = data.draw(st.integers(0, Mx.rank - 1))
+    phi_f = Mx.phi_of(fx)
+    # a torsion point plus a non-torsion element is not torsion
+    w = tb.field_ext.gen()
+    if phi_f.apply(w).is_zero():
+        w = w + tb.field_ext.one()
+    assert not phi_f.apply(w).is_zero()
+    mus[i] = mus[i] + w
+    for route in (weil_pairing, weil_pairing_per_term):
+        with pytest.raises(NotTorsion) as exc:
+            route(Mx, fx, mus)
+        assert str(exc.value) == f"argument {i + 1} is not f-torsion"
+
+
+def test_first_non_torsion_argument_is_named():
+    fx, tb = pairing_case(9)  # rank 3
+    Mx = tb.module_ext
+    w = tb.field_ext.gen()
+    if Mx.phi_of(fx).apply(w).is_zero():
+        w = w + tb.field_ext.one()
+    mus = [tb.points[0], w, w]
+    for route in (weil_pairing, weil_pairing_per_term):
+        with pytest.raises(NotTorsion, match="argument 2 is not"):
+            route(Mx, fx, mus)
+
+
+def test_weil_pairing_cost_guard(monkeypatch):
+    # one pairing on GF(2^12), rank r = 2, f = x^3 (n = 3): r * n orbit
+    # steps with r twists each, plus the r - 1 table twists of the n
+    # orbit points the operator reads, and no twisted products
+    from drinfeld_weil.fields import FieldElem
+    from drinfeld_weil.twisted import TwistedPoly
+    fx, tb = pairing_case(0)
+    Mx = tb.module_ext
+    assert (tb.field_ext.p, tb.field_ext.e) == (2, 12)
+    r, n = Mx.rank, int(fx.degree)
+    mus = [tb.points[0], tb.points[-1]]
+    counts = {"pow": 0, "tmul": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(FieldElem, "__pow__", counting("pow", FieldElem.__pow__))
+    monkeypatch.setattr(TwistedPoly, "__mul__", counting("tmul", TwistedPoly.__mul__))
+    value = weil_pairing(Mx, fx, mus)
+    monkeypatch.undo()
+    assert counts["tmul"] == 0
+    assert counts["pow"] <= r * n * (2 * r - 1)
+    assert value == weil_pairing_per_term(Mx, fx, mus)
