@@ -14,7 +14,7 @@ from .polys import (FracField, PolyRing, RatFunc, UniPoly, inv_mod,
 from .series import (Differential, LaurentAtInfinity, laurent_at_infinity,
                      residue_at_infinity, residue_at_point)
 from .tate import (QExpansion, RemainderPoly, TruncAGF, agf, agf_mod,
-                   agf_remainder, c_coeffs, ev_remainder, exp_qexp,
+                   agf_remainder, ev_remainder, exp_qexp,
                    hasse_schmidt, hermite_jets, mp_coeffs,
                    remainder_via_interpolation)
 from .twisted import TwistedPoly

@@ -1,7 +1,10 @@
 """Batch command-line surface: operators, torsion, pairings, verification.
 
 Polynomials on the command line are comma-separated coefficient lists,
-constant term first, matching the JSON file format.  Exit codes: 0 on
+constant term first, matching the JSON file format.  An F_q coefficient
+(of --f, or of --mu) is an integer c with 0 <= c < q, read as the
+element sum a_i y^i of F_q = F_p[y]/(modulus) whose base-p digits are
+c = sum a_i p^i, constant digit first.  Exit codes: 0 on
 success, 1 on a verification or mathematical failure, 2 on usage
 errors.
 """
@@ -51,6 +54,21 @@ def _parse_ints(text: str):
         return [int(v) for v in text.split(",") if v.strip() != ""]
     except ValueError:
         raise UsageError(f"expected comma-separated integers, got {text!r}")
+
+
+def _fq_elems(field: FiniteField, text: str, flag: str):
+    """The F_q coefficients of a comma-separated list, each c in [0, q)
+    read through its base-p digits, constant digit first."""
+    out = []
+    for c in _parse_ints(text):
+        if not 0 <= c < field.order:
+            raise UsageError(f"{flag} coefficient {c} is outside [0, {field.order})")
+        digits = []
+        for _ in range(field.e):
+            c, a = divmod(c, field.p)
+            digits.append(a)
+        out.append(field.elem(digits))
+    return out
 
 
 def _factor_prime_power(q: int):
@@ -114,9 +132,7 @@ def _module_from_args(args) -> DrinfeldModule:
 def _modulus_poly(args, field: FiniteField, var="x"):
     if args.f is None:
         raise UsageError("--f is required")
-    coeffs = _parse_ints(args.f)
-    ring = PolyRing(field, var)
-    f = ring.poly(coeffs)
+    f = PolyRing(field, var).poly(_fq_elems(field, args.f, "--f"))
     if f.is_zero() or not f.is_monic() or f.degree < 1:
         raise UsageError("--f must be monic of degree >= 1 (constant term first)")
     return f
@@ -171,16 +187,12 @@ def cmd_pairing(args) -> int:
                          f"{n}^{r} * {r}! Moore terms, more than {MAX_PAIRING_TERMS}")
     tb = torsion_basis(M, f)
     Mx = tb.module_ext
-    qf = M.q_field
     mus = []
     for sel in args.mu or []:
-        coeffs = _parse_ints(sel)
+        coeffs = _fq_elems(M.q_field, sel, "--mu")
         if len(coeffs) != len(tb.points):
             raise UsageError(f"--mu needs {len(tb.points)} coefficients")
-        acc = tb.field_ext.zero()
-        for c, pt in zip(coeffs, tb.points):
-            acc = acc + Mx.embed_scalars(qf.elem(c)) * pt
-        mus.append(acc)
+        mus.append(tb.combine(coeffs))
     for sel in args.mu_raw or []:
         try:
             mus.append(tb.field_ext.elem(_parse_ints(sel)))
@@ -240,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--theta", help="theta as F_p coefficients of the base field")
         sp.add_argument("--g", action="append",
                         help="module coefficient g_i (repeat once per i)")
-        sp.add_argument("--f", help="modulus polynomial over F_q, constant first")
+        sp.add_argument("--f", help="modulus polynomial over F_q, constant first, "
+                                    "coefficients in [0, q) as base-p digits")
 
     w = sub.add_parser("weil-op", help="print a rank-r Weil operator")
     w.add_argument("--q", type=int, required=True)
@@ -257,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("pairing", help="evaluate the Weil pairing on torsion points")
     add_module_flags(pr)
     pr.add_argument("--mu", action="append",
-                    help="torsion point as F_q coefficients over the computed basis")
+                    help="torsion point as F_q coefficients over the computed basis, "
+                         "each in [0, q) as base-p digits")
     pr.add_argument("--mu-raw", action="append",
                     help="raw splitting-field element (F_p coefficients)")
     pr.add_argument("--format", choices=("text", "json"), default="text")

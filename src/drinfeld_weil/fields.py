@@ -11,15 +11,17 @@ F_p[y] arithmetic on int lists has one kernel here, _pmul (convolution)
 and _pdivmod (long division); the modulus search, the reduction table
 of each field and polys.UniPoly over F_p all run on it.  Element
 products keep their own table reduction, which is faster per product.
-Powers send each factor p of the exponent through the field's
-Frobenius x -> x^p, an F_p-linear map on the basis {y^i} whose matrix
-the kernel builds on first use.
+
+Every F_p-linear map between fields is a list of int rows, built once
+and applied to coefficient tuples by _apply_rows: the Frobenius
+x -> x^p (through which powers send each factor p of the exponent), a
+subfield embedding, and the coordinates over a subfield and their lift.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
+from operator import mul
 
 from . import linalg
 
@@ -61,7 +63,12 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The int-list F_p[y] kernel, constant term first.
+# The int-list F_p[y] kernel, constant term first.  F_p-linear maps.
+
+def _apply_rows(rows, v, p):
+    """The F_p-linear map with int rows applied to the int vector v."""
+    return tuple([sum(map(mul, row, v)) % p for row in rows])
+
 
 def _trim(a):
     while a and a[-1] == 0:
@@ -401,10 +408,8 @@ class FiniteField:
             for _ in range(self.e):
                 cols.append(cur + [0] * (self.e - len(cur)))
                 cur = _pdivmod(_pmul(cur, yp), self.modulus, p)[1]
-            self._frob_rows = [tuple(col[j] for col in cols) for j in range(self.e)]
-        c = a.coeffs
-        return FieldElem(self, tuple([sum(map(operator.mul, row, c)) % p
-                                      for row in self._frob_rows]))
+            self._frob_rows = list(zip(*cols))
+        return FieldElem(self, _apply_rows(self._frob_rows, a.coeffs, p))
 
     def describe(self):
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
@@ -431,35 +436,23 @@ def make_field(p: int, e: int = 1, modulus=None) -> FiniteField:
 # Embeddings and relative vector-space structure.
 
 class Embedding:
-    """Ring embedding of a subfield into an extension, gen -> image."""
+    """Ring embedding of a subfield into an extension, gen -> image: the
+    F_p-linear map whose column i is image^i."""
 
     def __init__(self, small: FiniteField, big: FiniteField, image: FieldElem):
         self.small = small
         self.big = big
         self.image = image
-        pows = [big.one()]
-        for _ in range(small.e - 1):
-            pows.append(pows[-1] * image)
-        self._pows = pows
+        cols, power = [], big.one()
+        for _ in range(small.e):
+            cols.append(power.coeffs)
+            power = power * image
+        self._rows = list(zip(*cols))
 
     def __call__(self, x: FieldElem) -> FieldElem:
         if x.field != self.small:
             raise ValueError("element not in source field")
-        acc = self.big.zero()
-        for c, w in zip(x.coeffs, self._pows):
-            if c:
-                acc = acc + w * c
-        return acc
-
-
-def _frobenius_matrix(field: FiniteField, k: int):
-    """Matrix of x -> x^(p^k) on the F_p-basis {y^i}, columns = images."""
-    fp = FiniteField(field.p)
-    cols = []
-    for i in range(field.e):
-        img = field.elem([0] * i + [1]) ** (field.p ** k)
-        cols.append(img.coeffs)
-    return [[fp.elem(cols[j][i]) for j in range(field.e)] for i in range(field.e)]
+        return FieldElem(self.big, _apply_rows(self._rows, x.coeffs, self.big.p))
 
 
 def embed(small: FiniteField, big: FiniteField) -> Embedding:
@@ -470,11 +463,14 @@ def embed(small: FiniteField, big: FiniteField) -> Embedding:
         raise ValueError("no embedding: source is not a subfield")
     if small.e == 1:
         return Embedding(small, big, big.one())
+    # the roots lie in the kernel of x -> x^(p^k) - x, k = small.e, whose
+    # column i is (y^i)^(p^k) - y^i
     fp = FiniteField(small.p)
-    frob = _frobenius_matrix(big, small.e)
-    mat = [[frob[i][j] - (fp.one() if i == j else fp.zero()) for j in range(big.e)]
-           for i in range(big.e)]
-    kernel = linalg.nullspace(mat, fp)
+    cols = []
+    for i in range(big.e):
+        y_i = big.elem([0] * i + [1])
+        cols.append((y_i ** small.order - y_i).coeffs)
+    kernel = linalg.nullspace([[fp.elem(c) for c in row] for row in zip(*cols)], fp)
     roots = []
     for digits in itertools.product(range(small.p), repeat=len(kernel)):
         vec = [0] * big.e
@@ -496,65 +492,56 @@ def embed(small: FiniteField, big: FiniteField) -> Embedding:
 
 
 class RelativeBasis:
-    """big as a vector space over small, with basis {big.gen()^i}.
+    """big as a vector space over small, with basis powers = {w^i}, w =
+    big.gen(), which generates big over any subfield.
 
-    Provides coordinates of big elements as vectors over small; the
-    power basis works because big.gen() generates big over any subfield.
+    On F_p digits, lift (c_0, ..., c_{dim-1}) -> sum emb(c_i) w^i is the
+    map whose columns are emb(y^j) w^i, and coords is its inverse; both
+    are int rows, the inverse found once by elimination over F_p.
     """
 
-    def __init__(self, big: FiniteField, small: FiniteField, emb: Embedding):
+    def __init__(self, big: FiniteField, small: FiniteField, emb):
         if big.e % small.e != 0:
             raise ValueError("not an extension")
         self.big = big
         self.small = small
-        self.emb = emb
         self.dim = big.e // small.e
-        fp = FiniteField(big.p)
-        self._fp = fp
         w = big.gen()
-        wpow = [big.one()]
+        powers = [big.one()]
         for _ in range(self.dim - 1):
-            wpow.append(wpow[-1] * w)
-        cols = []
-        for i in range(self.dim):
-            for j in range(small.e):
-                basis_elem = emb(small.elem([0] * j + [1])) * wpow[i]
-                cols.append(basis_elem.coeffs)
-        mat = [[fp.elem(cols[c][r]) for c in range(big.e)] for r in range(big.e)]
-        self._inv = linalg.inverse(mat, fp)
-        self._wpow = wpow
+            powers.append(powers[-1] * w)
+        self.powers = powers
+        cols = [(emb(small.elem([0] * j + [1])) * w_i).coeffs
+                for w_i in powers for j in range(small.e)]
+        self._lift_rows = list(zip(*cols))
+        fp = FiniteField(big.p)
+        inv = linalg.inverse([[fp.elem(c) for c in row] for row in self._lift_rows], fp)
+        self._coord_rows = [[c.coeffs[0] for c in row] for row in inv]
 
     def coords(self, x: FieldElem):
         """Coordinates of x over small, length dim."""
-        vec = [self._fp.elem(c) for c in x.coeffs]
-        digits = linalg.mat_vec(self._inv, vec, self._fp)
-        out = []
-        for i in range(self.dim):
-            chunk = [digits[i * self.small.e + j].coeffs[0] for j in range(self.small.e)]
-            out.append(self.small.elem(chunk))
-        return out
+        digits = _apply_rows(self._coord_rows, x.coeffs, self.big.p)
+        k = self.small.e
+        return [FieldElem(self.small, digits[i * k:(i + 1) * k]) for i in range(self.dim)]
 
     def lift(self, vec):
-        acc = self.big.zero()
-        for c, w in zip(vec, self._wpow):
-            acc = acc + self.emb(c) * w
-        return acc
+        digits = [c for v in vec for c in v.coeffs]
+        return FieldElem(self.big, _apply_rows(self._lift_rows, digits, self.big.p))
 
 
 def min_poly_over(x: FieldElem, rel: RelativeBasis):
     """Minimal polynomial of x over rel.small, as a coefficient list
-    (constant first, monic)."""
-    small = rel.small
-    vectors = [rel.coords(rel.big.one())]
+    (constant first, monic).
+
+    The coordinates of 1, x, ..., x^dim are the columns; the pivots of
+    their row echelon form are 1, ..., x^(d-1), d the degree, so the
+    first nullspace vector is the minimal polynomial, followed by zeros."""
+    cols = [rel.coords(rel.big.one())]
     power = rel.big.one()
-    for k in range(1, rel.dim + 1):
+    for _ in range(rel.dim):
         power = power * x
-        vk = rel.coords(power)
-        # solve sum_i c_i * vectors[i] = vk over small
-        mat = [[vectors[i][row] for i in range(k)] for row in range(rel.dim)]
-        rhs = [vk[row] for row in range(rel.dim)]
-        sol = linalg.solve(mat, rhs, small)
-        if sol is not None:
-            return [-c for c in sol] + [small.one()]
-        vectors.append(vk)
-    raise AssertionError("minimal polynomial not found")  # unreachable
+        cols.append(rel.coords(power))
+    vec = linalg.nullspace([list(row) for row in zip(*cols)], rel.small)[0]
+    while vec[-1].is_zero():
+        vec.pop()
+    return vec

@@ -83,13 +83,3 @@ def inverse(mat, field):
         return None
     return [row[n:] for row in rows[:n]]
 
-
-def mat_vec(mat, vec, field):
-    zero = field.zero()
-    out = []
-    for row in mat:
-        acc = zero
-        for a, b in zip(row, vec):
-            acc = acc + a * b
-        out.append(acc)
-    return out

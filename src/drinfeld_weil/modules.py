@@ -133,17 +133,20 @@ class TorsionBasis:
     def cardinality(self) -> int:
         return self.module.q ** len(self.points)
 
+    def combine(self, coeffs):
+        """The torsion point sum_i c_i points[i], the c_i in F_q."""
+        emb = self.module_ext.embed_scalars
+        acc = self.field_ext.zero()
+        for c, pt in zip(coeffs, self.points):
+            if not c.is_zero():
+                acc = acc + emb(c) * pt
+        return acc
+
     def all_points(self):
         """Every element of the torsion module, deterministically ordered."""
-        qf = self.module.q_field
-        scalars = list(qf.elements())
-        emb = self.module_ext.embed_scalars
+        scalars = list(self.module.q_field.elements())
         for combo in itertools.product(scalars, repeat=len(self.points)):
-            acc = self.field_ext.zero()
-            for c, pt in zip(combo, self.points):
-                if not c.is_zero():
-                    acc = acc + emb(c) * pt
-            yield acc
+            yield self.combine(combo)
 
     def describe(self):
         return {"splitting_field": self.field_ext.describe(),
@@ -166,15 +169,8 @@ def kernel_in_field(M_big: DrinfeldModule, f: UniPoly, rel: RelativeBasis):
     the relative basis rel (which may belong to a larger module's splitting
     field, as for the exterior module)."""
     phi_f = M_big.phi_of(f)
-    big = M_big.base
-    dim = rel.dim
-    w = big.gen()
-    wpow = [big.one()]
-    for _ in range(dim - 1):
-        wpow.append(wpow[-1] * w)
-    cols = [rel.coords(phi_f.apply(b)) for b in wpow]
-    mat = [[cols[c][r_] for c in range(dim)] for r_ in range(dim)]
-    kernel = linalg.nullspace(mat, M_big.q_field)
+    cols = [rel.coords(phi_f.apply(b)) for b in rel.powers]
+    kernel = linalg.nullspace([list(row) for row in zip(*cols)], M_big.q_field)
     return [rel.lift(vec) for vec in kernel]
 
 

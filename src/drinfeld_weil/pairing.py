@@ -93,7 +93,7 @@ def _zero_like(M: DrinfeldModule, mus):
     return M.base.zero()
 
 
-def diamond_moore(P: MPoly, M: DrinfeldModule, mus, t_slots=None):
+def diamond_moore(P: MPoly, M: DrinfeldModule, mus):
     """Moore determinant of the tensor action of P on mu_1 x ... x mu_r.
 
     P lives in variables X_1..X_r with an optional trailing t variable;
@@ -110,10 +110,7 @@ def diamond_moore(P: MPoly, M: DrinfeldModule, mus, t_slots=None):
         for _ in range(P.degree_in(i)):
             orbit.append(_phi_x_apply(M, orbit[-1]))
         orbits.append(orbit)
-    nt = None
-    if has_t:
-        nt = t_slots if t_slots is not None else P.degree_in(r) + 1
-    return _diamond_orbits(P, M, orbits, nt)
+    return _diamond_orbits(P, M, orbits, P.degree_in(r) + 1 if has_t else None)
 
 
 def _diamond_orbits(P: MPoly, M: DrinfeldModule, orbits, nt):
@@ -186,7 +183,7 @@ def main_theorem_check(M: DrinfeldModule, f: UniPoly, r: int, N: int) -> dict:
     lhs_slots = moore_det(rems, M.q).coeffs
     cs = [h.coeffs[n - 1] for h in rems]
 
-    rhs_slots = diamond_moore(weil_op_rt(f, r), M, cs, t_slots=n)
+    rhs_slots = diamond_moore(weil_op_rt(f, r), M, cs)
     pair_val = diamond_moore(weil_op_r(f, r), M, cs)
 
     failures = []

@@ -56,9 +56,6 @@ class RemainderPoly:
     f: UniPoly
     coeffs: tuple
 
-    def coeff(self, i):
-        return self.coeffs[i]
-
     def _check(self, other):
         if not isinstance(other, RemainderPoly) or other.f != self.f:
             raise ValueError("remainders modulo different polynomials")
@@ -318,10 +315,6 @@ class _SymSeries:
                 bad.append(m)
         return sorted(bad)
 
-    def dump(self):
-        """Deterministic JSON-friendly map monomial -> value string."""
-        return {mono_str(m): str(v) for m, v in sorted(self.terms.items())}
-
     def __eq__(self, other):
         return (type(other) is type(self) and self.vfield == other.vfield
                 and self.terms == other.terms)
@@ -363,17 +356,13 @@ class TruncAGF(_SymSeries):
 # ---------------------------------------------------------------------------
 # Generating functions and their remainders.
 
-def t_fraction_field(M: DrinfeldModule) -> FracField:
-    return FracField(PolyRing(M.base, "t"))
-
-
 def agf(M: DrinfeldModule, sym: str, N: int, ec: ExpCoeffs | None = None) -> TruncAGF:
     """Truncated generating function sum_{i<=N} e_i Z^{q^i} / (theta^{q^i} - t)."""
     ec = ec or exp_coeffs(M, N)
     if ec.depth() < N:
         raise ValueError("exponential data shallower than requested depth")
     K = M.base
-    KT = t_fraction_field(M)
+    KT = FracField(PolyRing(M.base, "t"))
     Rt = KT.ring
     terms = {}
     for i in range(N + 1):
@@ -446,14 +435,6 @@ def agf_remainder(w: TruncAGF, f: UniPoly):
             if not c.is_zero():
                 slots[i][m] = c
     return [QExpansion(K, w.q, slot, dict(w.caps)) for slot in slots]
-
-
-def c_coeffs(M: DrinfeldModule, f: UniPoly, N: int, sym: str = "Z",
-             ec: ExpCoeffs | None = None):
-    """Coefficients C_{z,0} ... C_{z,n-1} of the f-remainder of the
-    truncated generating function, as exact q-expansions."""
-    ec = ec or exp_coeffs(M, N)
-    return agf_remainder(agf(M, sym, N, ec), f)
 
 
 def mp_coeffs(p: UniPoly, l: int):

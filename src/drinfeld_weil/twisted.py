@@ -26,11 +26,6 @@ class TwistedPoly:
     def is_zero(self):
         return not self.coeffs
 
-    def coeff(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return self.field.zero()
-
     def _check(self, other):
         if not isinstance(other, TwistedPoly):
             raise TypeError("expected TwistedPoly")
@@ -76,16 +71,6 @@ class TwistedPoly:
         c = self.field.coerce(other)
         return TwistedPoly(self.field, self.q, [c * a for a in self.coeffs])
 
-    def __pow__(self, n: int):
-        result = TwistedPoly(self.field, self.q, [self.field.one()])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __mod__(self, other):
         """Remainder of right division: self = Q * other + R, deg R < deg other.
 
@@ -124,9 +109,6 @@ class TwistedPoly:
         if acc is None:
             return self.field.zero() if not hasattr(mu, "field") else mu - mu
         return acc
-
-    def map_coeffs(self, fn, field=None):
-        return TwistedPoly(field or self.field, self.q, [fn(c) for c in self.coeffs])
 
     def __eq__(self, other):
         return (isinstance(other, TwistedPoly) and self.field == other.field

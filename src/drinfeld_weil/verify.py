@@ -419,7 +419,7 @@ def suite_agf(seed=0, cases=None) -> dict:
         for f in moduli:
             n = int(f.degree)
             tag = f"{name} f={f}"
-            slots = tate.c_coeffs(M, f, N, ec=ec)
+            slots = tate.agf_remainder(tate.agf(M, "Z", N, ec), f)
             fth = tate.eval_at_theta(M, f)
             for i in range(n):
                 dfi = K.coerce(lift_poly(W.dual_map(f, i), Rth)(Rth.gen()))

@@ -235,6 +235,50 @@ def test_pairing_not_torsion_exit_1(capsys):
     assert "NotTorsion" in err
 
 
+# An F_q coefficient c in [0, q) is the element whose F_p digits are the
+# base-p digits of c, constant digit first: over F_4 = F_2[y]/(y^2+y+1),
+# 2 is y and 3 is y + 1.
+
+def test_weil_op_reads_fq_coefficients_as_base_p_digits(capsys):
+    # x^2 + y x has operator X1 + X2 + y; reading 2 mod p dropped the y
+    code, out, _ = run_cli(capsys, "weil-op", "--q", "4", "--f", "0,2,1", "--rank", "2")
+    assert (code, out) == (0, "X1 + X2 + y\n")
+    code, out, _ = run_cli(capsys, "weil-op", "--q", "4", "--f", "0,2,1",
+                           "--rank", "2", "--format", "json")
+    assert json.loads(out)["terms"] == [[[0, 0], [0, 1]], [[0, 1], [1, 0]],
+                                        [[1, 0], [1, 0]]]
+    code, out, _ = run_cli(capsys, "weil-op", "--q", "9", "--f", "5,1", "--rank", "1")
+    assert (code, out) == (0, "1\n")
+
+
+def test_pairing_mu_reads_fq_coefficients_as_base_p_digits(capsys):
+    # W(y mu_1, mu_2) = y W(mu_1, mu_2), y embedded in the splitting field
+    from drinfeld_weil import embed, make_field
+    base = ["--q", "4", "--theta", "1", "--g", "1", "--g", "1", "--f", "0,1"]
+    code, out, _ = run_cli(capsys, "torsion", *base)
+    sf = json.loads(out)["splitting_field"]
+    big = make_field(sf["p"], sf["e"], sf["modulus"])
+    y = embed(make_field(2, 2), big)(make_field(2, 2).gen())
+    values = []
+    for mu1 in ("1,0", "2,0"):
+        code, out, _ = run_cli(capsys, "pairing", *base, "--mu", mu1, "--mu", "0,1",
+                               "--format", "json")
+        assert code == 0
+        values.append(big.elem(json.loads(out)["value"]))
+    assert not values[0].is_zero()
+    assert values[1] == y * values[0]
+
+
+def test_fq_coefficient_outside_range_exit_2(capsys):
+    base = ["pairing", "--q", "4", "--theta", "1", "--g", "1", "--g", "1"]
+    code, out, err = run_cli(capsys, *base, "--f", "0,1", "--mu", "4,0", "--mu", "0,1")
+    assert (code, out, err) == (2, "", "error: --mu coefficient 4 is outside [0, 4)\n")
+    code, out, err = run_cli(capsys, *base, "--f=-1,1", "--mu", "1,0", "--mu", "0,1")
+    assert (code, out, err) == (2, "", "error: --f coefficient -1 is outside [0, 4)\n")
+    code, out, err = run_cli(capsys, "weil-op", "--q", "3", "--f", "3,1", "--rank", "2")
+    assert (code, out, err) == (2, "", "error: --f coefficient 3 is outside [0, 3)\n")
+
+
 def test_verify_unknown_suite_exit_2(capsys):
     assert run_cli(capsys, "verify", "--suite", "bogus")[0] == 2
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import time
 
@@ -436,3 +437,147 @@ def test_pow_p_in_large_characteristic_is_fast():
     assert time.perf_counter() - t0 < 1.0
     assert y == _square_and_multiply(x, F.p)
     assert y ** F.p == x  # the Frobenius has order e = 2
+
+
+# ---------------------------------------------------------------------------
+# F_p-linear maps between fields: embeddings, relative coordinates and
+# minimal polynomials, against the field-product constructions they
+# replaced.
+
+def _subfield_pairs():
+    return [(p, es, eb) for p, top in ((2, 12), (3, 6), (5, 4))
+            for eb in range(1, top + 1) for es in range(1, eb + 1) if eb % es == 0]
+
+
+SUBFIELD_PAIRS = _subfield_pairs()
+
+# embed(GF(p^es), GF(p^eb)).image for every proper subfield of degree > 1
+PINNED_EMBED_IMAGES = {
+    (2, 2, 4): (0, 1, 0, 1), (2, 2, 6): (0, 0, 0, 1, 1, 1),
+    (2, 2, 8): (0, 0, 1, 1, 0, 0, 1, 1), (2, 2, 10): (0, 1, 1, 1, 0, 0, 0, 1, 1, 0),
+    (2, 2, 12): (0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0), (2, 3, 6): (0, 1, 0, 1, 0, 0),
+    (2, 3, 9): (0, 0, 0, 1, 1, 1, 0, 1, 1),
+    (2, 3, 12): (1, 0, 0, 0, 1, 1, 0, 1, 0, 0, 0, 0),
+    (2, 4, 8): (0, 0, 0, 1, 0, 1, 0, 1),
+    (2, 4, 12): (0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0),
+    (2, 5, 10): (0, 1, 0, 0, 0, 0, 0, 1, 1, 0),
+    (2, 6, 12): (0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 1, 0),
+    (3, 2, 4): (0, 1, 2, 0), (3, 2, 6): (0, 0, 1, 2, 0, 0),
+    (3, 3, 6): (0, 1, 1, 1, 2, 2), (5, 2, 4): (1, 0, 3, 1),
+}
+
+
+def test_embed_images_pinned():
+    assert len(PINNED_EMBED_IMAGES) == 16
+    for p, es, eb in SUBFIELD_PAIRS:
+        small, big = make_field(p, es), make_field(p, eb)
+        image = embed(small, big).image
+        if es == 1:
+            assert image == big.one()
+        elif es == eb:
+            assert image == big.gen()
+        else:
+            assert image.coeffs == PINNED_EMBED_IMAGES[p, es, eb], (p, es, eb)
+
+
+def _embed_by_products(emb, x):
+    """Embedding as sum_i c_i image^i, by field products."""
+    acc, power = emb.big.zero(), emb.big.one()
+    for c in x.coeffs:
+        if c:
+            acc = acc + power * c
+        power = power * emb.image
+    return acc
+
+
+def _mat_vec(mat, vec, field):
+    out = []
+    for row in mat:
+        acc = field.zero()
+        for a, b in zip(row, vec):
+            acc = acc + a * b
+        out.append(acc)
+    return out
+
+
+def _coords_by_inverse(emb, x):
+    """Coordinates of x over emb.small in the basis {big.gen()^i}: the
+    F_p matrix of the basis, inverted over F_p as field elements and
+    applied to x's digits."""
+    small, big = emb.small, emb.big
+    dim = big.e // small.e
+    fp = make_field(big.p)
+    cols, w_i = [], big.one()
+    for _ in range(dim):
+        for j in range(small.e):
+            cols.append((_embed_by_products(emb, small.elem([0] * j + [1])) * w_i).coeffs)
+        w_i = w_i * big.gen()
+    mat = [[fp.elem(cols[c][r]) for c in range(big.e)] for r in range(big.e)]
+    digits = _mat_vec(linalg.inverse(mat, fp), [fp.elem(c) for c in x.coeffs], fp)
+    return [small.elem([digits[i * small.e + j].coeffs[0] for j in range(small.e)])
+            for i in range(dim)]
+
+
+def _min_poly_by_solves(emb, x):
+    """Minimal polynomial over emb.small: one solve per degree k for
+    x^k in the span of 1, ..., x^(k-1)."""
+    small, big = emb.small, emb.big
+    vectors = [_coords_by_inverse(emb, big.one())]
+    power = big.one()
+    for k in range(1, big.e // small.e + 1):
+        power = power * x
+        vk = _coords_by_inverse(emb, power)
+        mat = [[v[row] for v in vectors] for row in range(len(vk))]
+        sol = linalg.solve(mat, vk, small)
+        if sol is not None:
+            return [-c for c in sol] + [small.one()]
+        vectors.append(vk)
+
+
+@functools.cache
+def _rel(p, es, eb):
+    small, big = make_field(p, es), make_field(p, eb)
+    emb = embed(small, big)
+    return emb, RelativeBasis(big, small, emb)
+
+
+def _field_elem(field):
+    return st.lists(st.integers(0, field.p - 1), min_size=field.e,
+                    max_size=field.e).map(field.elem)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SUBFIELD_PAIRS), st.data())
+def test_embedding_matches_products_and_is_ring_hom(pair, data):
+    emb, _ = _rel(*pair)
+    a, b = data.draw(_field_elem(emb.small)), data.draw(_field_elem(emb.small))
+    assert emb(a) == _embed_by_products(emb, a)
+    assert emb(a * b) == emb(a) * emb(b)
+    assert emb(a + b) == emb(a) + emb(b)
+    assert emb(emb.small.one()) == emb.big.one()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SUBFIELD_PAIRS), st.data())
+def test_coords_match_inverse_and_lift_inverts(pair, data):
+    emb, rel = _rel(*pair)
+    x = data.draw(_field_elem(emb.big))
+    coords = rel.coords(x)
+    assert coords == _coords_by_inverse(emb, x)
+    assert rel.lift(coords) == x
+    v = [data.draw(_field_elem(emb.small)) for _ in range(rel.dim)]
+    assert rel.coords(rel.lift(v)) == v
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(SUBFIELD_PAIRS), st.data())
+def test_min_poly_matches_solves_and_vanishes(pair, data):
+    emb, rel = _rel(*pair)
+    x = data.draw(_field_elem(emb.big))
+    mp = min_poly_over(x, rel)
+    assert mp == _min_poly_by_solves(emb, x)
+    assert mp[-1] == emb.small.one()
+    acc = emb.big.zero()
+    for c in reversed(mp):
+        acc = acc * x + emb(c)
+    assert acc.is_zero()

@@ -49,7 +49,7 @@ def test_diamond_examples():
         [phi_x.apply(a), phi_x.apply(b)], 2)
     ring_t = MPolyRing(F2, ("X1", "X2", "t"))
     tx1 = MPoly(ring_t, {(1, 0, 1): F2.one()})
-    out = diamond_moore(tx1, Mx, [a, b], t_slots=2)
+    out = diamond_moore(tx1, Mx, [a, b])
     assert out[0].is_zero()
     assert out[1] == moore_det([phi_x.apply(a), b], 2)
 
