@@ -4,9 +4,10 @@ Polynomials on the command line are comma-separated coefficient lists,
 constant term first, matching the JSON file format.  An F_q coefficient
 (of --f, or of --mu) is an integer c with 0 <= c < q, read as the
 element sum a_i y^i of F_q = F_p[y]/(modulus) whose base-p digits are
-c = sum a_i p^i, constant digit first.  Exit codes: 0 on
-success, 1 on a verification or mathematical failure, 2 on usage
-errors.
+c = sum a_i p^i, constant digit first.  An F_p digit (of --theta,
+--g, --modulus or --mu-raw) is an integer in [0, p); any other value
+is a usage error, never reduced mod p.  Exit codes: 0 on success, 1 on
+a verification or mathematical failure, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -56,13 +57,21 @@ def _parse_ints(text: str):
         raise UsageError(f"expected comma-separated integers, got {text!r}")
 
 
+def _coeffs_below(text: str, bound: int, flag: str):
+    """The integers of a comma-separated list, each checked to lie in
+    [0, bound)."""
+    out = _parse_ints(text)
+    for c in out:
+        if not 0 <= c < bound:
+            raise UsageError(f"{flag} coefficient {c} is outside [0, {bound})")
+    return out
+
+
 def _fq_elems(field: FiniteField, text: str, flag: str):
     """The F_q coefficients of a comma-separated list, each c in [0, q)
     read through its base-p digits, constant digit first."""
     out = []
-    for c in _parse_ints(text):
-        if not 0 <= c < field.order:
-            raise UsageError(f"{flag} coefficient {c} is outside [0, {field.order})")
+    for c in _coeffs_below(text, field.order, flag):
         digits = []
         for _ in range(field.e):
             c, a = divmod(c, field.p)
@@ -109,7 +118,8 @@ def _module_from_args(args) -> DrinfeldModule:
         if ext == 1 and args.modulus is None:
             base = qf
         else:
-            modulus = _parse_ints(args.modulus) if args.modulus else None
+            modulus = (_coeffs_below(args.modulus, qf.p, "--modulus")
+                       if args.modulus else None)
             base = make_field(qf.p, qf.e * ext, modulus)
     except ValueError as exc:
         raise UsageError(str(exc))
@@ -117,8 +127,8 @@ def _module_from_args(args) -> DrinfeldModule:
     if args.theta is None:
         raise UsageError("--theta is required")
     try:
-        theta = base.elem(_parse_ints(args.theta))
-        g = [base.elem(_parse_ints(gi)) for gi in args.g or []]
+        theta = base.elem(_coeffs_below(args.theta, qf.p, "--theta"))
+        g = [base.elem(_coeffs_below(gi, qf.p, "--g")) for gi in args.g or []]
     except ValueError as exc:
         raise UsageError(str(exc))
     if not g:
@@ -194,8 +204,9 @@ def cmd_pairing(args) -> int:
             raise UsageError(f"--mu needs {len(tb.points)} coefficients")
         mus.append(tb.combine(coeffs))
     for sel in args.mu_raw or []:
+        digits = _coeffs_below(sel, tb.field_ext.p, "--mu-raw")
         try:
-            mus.append(tb.field_ext.elem(_parse_ints(sel)))
+            mus.append(tb.field_ext.elem(digits))
         except ValueError as exc:
             raise UsageError(f"--mu-raw: {exc} "
                              f"(splitting field has degree {tb.field_ext.e})")

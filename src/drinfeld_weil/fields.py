@@ -11,6 +11,9 @@ F_p[y] arithmetic on int lists has one kernel here, _pmul (convolution)
 and _pdivmod (long division); the modulus search, the reduction table
 of each field and polys.UniPoly over F_p all run on it.  Element
 products keep their own table reduction, which is faster per product.
+The modulus search tests each candidate with Ben-Or's irreducibility
+test on this kernel; polys.is_irreducible_poly is the same test on
+UniPoly over any finite field.
 
 Every F_p-linear map between fields is a list of int rows, built once
 and applied to coefficient tuples by _apply_rows: the Frobenius
@@ -125,42 +128,6 @@ def _ppow_mod(base, exp, m, p):
     return result
 
 
-def _prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _is_irreducible(m, p):
-    """Deterministic irreducibility test for a monic m over F_p."""
-    d = len(m) - 1
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    # x^{p^d} == x mod m, and x^{p^{d/l}} - x coprime to m for prime l | d
-    frob = [0, 1]
-    powers = {}
-    for k in range(1, d + 1):
-        frob = _ppow_mod(frob, p, m, p)
-        powers[k] = frob
-    if _minus_y(powers[d], p):  # deg < d, so already reduced mod m
-        return False
-    for ell in _prime_divisors(d):
-        g = _pgcd(list(m), _minus_y(powers[d // ell], p), p)
-        if len(g) - 1 != 0:
-            return False
-    return True
-
-
 def _minus_y(a, p):
     """a - y, trimmed."""
     a = list(a) + [0] * (2 - len(a))
@@ -168,19 +135,30 @@ def _minus_y(a, p):
     return _trim(a)
 
 
-def _has_root(m, p):
-    """Whether m has a root in F_p: gcd(m, y^p - y) is not constant.
-    The cost does not grow with p, unlike evaluating m at every a."""
-    return len(_pgcd(list(m), _minus_y(_ppow_mod([0, 1], p, m, p), p), p)) > 1
+def _is_irreducible(m, p):
+    """Ben-Or's test for a monic m over F_p: m of degree d is irreducible
+    exactly when gcd(m, y^(p^i) - y) = 1 for every i <= d/2, each
+    y^(p^i) the p-th power of the one before mod m.  A reducible m stops
+    at the degree of its smallest factor (Ben-Or, FOCS 1981; Gao and
+    Panario, 1997)."""
+    d = len(m) - 1
+    if d <= 0:
+        return False
+    power = [0, 1]
+    for _ in range(d // 2):
+        power = _ppow_mod(power, p, m, p)
+        if len(_pgcd(m, _minus_y(power, p), p)) > 1:
+            return False
+    return True
 
 
 def _smallest_irreducible(p, e):
     """Lexicographically smallest monic irreducible of degree e over F_p.
 
     Coefficient tuples (a_0, ..., a_{e-1}) are compared left to right.
-    For e >= 2 a candidate with a root in F_p has a linear factor, so the
-    a_0 = 0 block (root 0) and every candidate with a root are skipped
-    before the full test; the first survivor is the same polynomial.
+    For e >= 2 a candidate with a_0 = 0 has the root 0, so the walk
+    starts at a_0 = 1; a root elsewhere in F_p is the first step of the
+    test.
     """
     if e == 1:
         return [0, 1]
@@ -191,7 +169,7 @@ def _smallest_irreducible(p, e):
             n, a = divmod(n, p)
             m.append(a)
         m.reverse()
-        if not _has_root(m, p) and _is_irreducible(m, p):
+        if _is_irreducible(m, p):
             return m
     raise AssertionError("no irreducible polynomial found")  # unreachable
 

@@ -124,7 +124,6 @@ class TorsionBasis:
     module: DrinfeldModule
     module_ext: DrinfeldModule
     field_ext: FiniteField
-    embed_base: Embedding
     rel: RelativeBasis
     points: list
     f: UniPoly
@@ -212,40 +211,35 @@ def torsion_basis(M: DrinfeldModule, f: UniPoly, s_cap: int = 12) -> TorsionBasi
     base = M.base
     big = base if s == 1 else make_field(base.p, base.e * s)
     emb_base = embed(base, big)
-
-    def comp(c):
-        return emb_base(M.embed_scalars(c))
-
-    rel = RelativeBasis(big, M.q_field, comp)
+    emb = Embedding(M.q_field, big, emb_base(M.embed_scalars(M.q_field.gen())))
+    rel = RelativeBasis(big, M.q_field, emb)
     M_ext = DrinfeldModule(M.q_field, big, emb_base(M.theta),
-                           [emb_base(gi) for gi in M.g], comp)
+                           [emb_base(gi) for gi in M.g], emb)
     points = kernel_in_field(M_ext, f, rel)
     if len(points) != M.rank * int(f.degree):
         raise AssertionError("kernel dimension disagrees with the splitting degree")
-    return TorsionBasis(M, M_ext, big, emb_base, rel, points, f, s)
+    return TorsionBasis(M, M_ext, big, rel, points, f, s)
 
 
 def a_module_basis(tb: TorsionBasis):
     """An A/f-module basis (mu_1 ... mu_r) of the torsion module.
 
     Scans points in deterministic order, keeping a point only when its
-    A-orbit enlarges the F_q-span by a full deg f dimensions."""
+    A-orbit enlarges the F_q-span by a full deg f dimensions: the
+    coordinates of pt, phi_x(pt), ..., phi_x^(n-1)(pt), n = deg f."""
     M, f = tb.module, tb.f
     n = int(f.degree)
     r = M.rank
-    xp = M.x_ring().gen()
-    powers = [M.x_ring().one()]
-    for _ in range(n - 1):
-        powers.append(powers[-1] * xp)
+    phi_x = tb.module_ext.phi_x()
     chosen = []
     span_rows = []
     current_rank = 0
     for pt in tb.all_points():
         if pt.is_zero():
             continue
-        cand_rows = []
-        for a in powers:
-            img = tb.module_ext.phi_of(a).apply(pt)
+        cand_rows, img = [tb.rel.coords(pt)], pt
+        for _ in range(n - 1):
+            img = phi_x.apply(img)
             cand_rows.append(tb.rel.coords(img))
         new_rank = linalg.rank(span_rows + cand_rows, M.q_field)
         if new_rank == current_rank + n:

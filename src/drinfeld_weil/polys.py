@@ -7,6 +7,8 @@ F_q[t], F_q(theta), and polynomials in t with F_q(theta) coefficients.
 
 Over a prime field F_p, products and long division run on the int-list
 kernel of fields (_pmul, _pdivmod) instead of on element objects.
+is_irreducible_poly is Ben-Or's test, the algorithm that fields runs on
+int lists for the modulus search.
 
 Coefficient lists are constant term first.  Polynomials are kept in
 canonical trimmed form; the zero polynomial has the dedicated degree
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 
 from .errors import NotInvertibleModF
-from .fields import FieldElem, FiniteField, _pdivmod, _pmul, _prime_divisors, _trim
+from .fields import FieldElem, FiniteField, _pdivmod, _pmul, _trim
 
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
@@ -333,24 +335,16 @@ def poly_powmod(a: UniPoly, e: int, m: UniPoly) -> UniPoly:
 
 
 def is_irreducible_poly(f: UniPoly) -> bool:
-    """Deterministic irreducibility over a finite coefficient field."""
-    q = f.ring.field.order
-    d = f.degree
-    if d is NEG_INF or d <= 0:
+    """Ben-Or's test over a finite coefficient field F_q: f of degree d
+    is irreducible exactly when gcd(f, t^(q^i) - t) = 1 for every
+    i <= d/2, each t^(q^i) the q-th power of the one before mod f."""
+    if f.degree < 1:
         return False
-    d = int(d)
-    if d == 1:
-        return True
     t = f.ring.gen() % f
-    powers = {}
-    b = t
-    for k in range(1, d + 1):
-        b = poly_powmod(b, q, f)
-        powers[k] = b
-    if powers[d] != t:
-        return False
-    for ell in _prime_divisors(d):
-        if poly_gcd(powers[d // ell] - t, f).degree != 0:
+    power = t
+    for _ in range(int(f.degree) // 2):
+        power = poly_powmod(power, f.ring.field.order, f)
+        if poly_gcd(power - t, f).degree != 0:
             return False
     return True
 

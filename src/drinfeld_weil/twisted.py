@@ -76,19 +76,25 @@ class TwistedPoly:
 
         R is self mod the left ideal K{tau} other; each step cancels the
         top term with c tau^k * other, where c tau^k * d tau^j = c d^(q^k) tau^(k+j).
+        Row k of twists is the divisor's lower coefficients and the inverse
+        of its leading one, raised to q^k: each row the q-th power of the
+        row before.
         """
         other = self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("twisted remainder by zero")
         n = len(other.coeffs) - 1
         out = list(self.coeffs)
+        twists = [other.coeffs[:-1] + (self.field.one() / other.coeffs[-1],)]
         while len(out) > n:
             k = len(out) - 1 - n
-            qk = self.q ** k
-            c = out[-1] / other.coeffs[-1] ** qk
-            for j, d in enumerate(other.coeffs[:-1]):
+            while len(twists) <= k:
+                twists.append([d ** self.q for d in twists[-1]])
+            row = twists[k]
+            c = out[-1] * row[-1]
+            for j, d in enumerate(row[:-1]):
                 if not d.is_zero():
-                    out[k + j] = out[k + j] - c * d ** qk
+                    out[k + j] = out[k + j] - c * d
             out.pop()
             while out and out[-1].is_zero():
                 out.pop()

@@ -279,6 +279,38 @@ def test_fq_coefficient_outside_range_exit_2(capsys):
     assert (code, out, err) == (2, "", "error: --f coefficient 3 is outside [0, 3)\n")
 
 
+# An F_p digit (of --theta, --g, --modulus or --mu-raw) outside [0, p) is a
+# usage error; it used to be reduced mod p without a word.
+
+def test_theta_digit_outside_range_exit_2(capsys):
+    for q, theta, p in (("3", "5", 3), ("4", "3", 2), ("2", "-1", 2)):
+        code, out, err = run_cli(capsys, "torsion", "--q", q, f"--theta={theta}",
+                                 "--g", "1", "--f", "0,1")
+        assert (code, out, err) == (
+            2, "", f"error: --theta coefficient {theta} is outside [0, {p})\n")
+
+
+def test_g_digit_outside_range_exit_2(capsys):
+    code, out, err = run_cli(capsys, "torsion", "--q", "4", "--theta", "0,1",
+                             "--g", "1", "--g", "0,2", "--f", "0,1")
+    assert (code, out, err) == (2, "", "error: --g coefficient 2 is outside [0, 2)\n")
+
+
+def test_modulus_digit_outside_range_exit_2(capsys):
+    # 1 + y + 3y^2 used to be read as the monic 1 + y + y^2
+    code, out, err = run_cli(capsys, "torsion", "--q", "2", "--field-ext", "2",
+                             "--modulus", "1,1,3", "--theta", "0,1", "--g", "1",
+                             "--f", "0,1")
+    assert (code, out, err) == (2, "", "error: --modulus coefficient 3 is outside [0, 2)\n")
+
+
+def test_mu_raw_digit_outside_range_exit_2(capsys):
+    code, out, err = run_cli(capsys, "pairing", "--q", "3", "--theta", "1",
+                             "--g", "1", "--g", "1", "--f", "0,1",
+                             "--mu", "1,0", "--mu-raw", "0,3,0")
+    assert (code, out, err) == (2, "", "error: --mu-raw coefficient 3 is outside [0, 3)\n")
+
+
 def test_verify_unknown_suite_exit_2(capsys):
     assert run_cli(capsys, "verify", "--suite", "bogus")[0] == 2
 

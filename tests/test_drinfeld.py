@@ -241,6 +241,56 @@ def test_twisted_remainder_examples():
         tau % tw(F4, 2, [])
 
 
+def _mod_oracle(a, d):
+    """Right-division remainder of a by d, each divisor coefficient raised
+    to q^k from scratch at step k: the oracle of TwistedPoly.__mod__,
+    which raises the row before to the q-th power instead."""
+    n = len(d.coeffs) - 1
+    out = list(a.coeffs)
+    while len(out) > n:
+        k = len(out) - 1 - n
+        qk = a.q ** k
+        c = out[-1] / d.coeffs[-1] ** qk
+        for j, dj in enumerate(d.coeffs[:-1]):
+            if not dj.is_zero():
+                out[k + j] = out[k + j] - c * dj ** qk
+        out.pop()
+        while out and out[-1].is_zero():
+            out.pop()
+    return TwistedPoly(a.field, a.q, out)
+
+
+GF16, GF27, F5 = make_field(2, 4), make_field(3, 3), make_field(5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_twisted_remainder_matches_oracle(data):
+    field, q = data.draw(st.sampled_from([(GF16, 2), (GF16, 4), (GF27, 3), (F5, 5)]))
+    d = data.draw(_twisted(field, q, 4))
+    assume(not d.is_zero())
+    a = data.draw(_twisted(field, q, 12))
+    assert a % d == _mod_oracle(a, d)
+
+
+def test_twisted_remainder_power_calls(monkeypatch):
+    # K steps by a divisor of degree n: at most K (n + 1) field powers,
+    # where raising each coefficient to q^k at step k takes K (n + 2)
+    from drinfeld_weil.fields import FieldElem
+    calls = []
+    real = FieldElem.__pow__
+    monkeypatch.setattr(FieldElem, "__pow__", lambda x, e: calls.append(e) or real(x, e))
+    y = GF16.gen()
+    n, deg = 3, 40
+    d = TwistedPoly(GF16, 2, [y, y + 1, y * y, y])
+    a = TwistedPoly(GF16, 2, [y + i for i in range(deg + 1)])
+    rem = a % d
+    steps = deg - n + 1
+    assert 0 < len(calls) <= steps * (n + 1)
+    monkeypatch.setattr(FieldElem, "__pow__", real)
+    assert rem == _mod_oracle(a, d)
+
+
 def _scan_splitting(M, f, s_cap):
     """The extension scan: least s whose field F_{q^{ms}} holds the full
     kernel of phi_f, found by building every field up to it."""

@@ -263,14 +263,76 @@ def test_pruned_search_matches_plain_scan(p, top):
 
 
 def test_root_test_matches_evaluation():
-    from drinfeld_weil.fields import _has_root
+    # in degrees 2 and 3, irreducible means having no root in F_p
+    from drinfeld_weil.fields import _is_irreducible
     for p in (2, 3, 5):
-        for e in (1, 2, 3):
+        for e in (2, 3):
             for low in itertools.product(range(p), repeat=e):
                 m = list(low) + [1]
                 roots = [a for a in range(p)
                          if sum(c * a ** i for i, c in enumerate(m)) % p == 0]
-                assert _has_root(m, p) == bool(roots), (p, m)
+                assert _is_irreducible(m, p) == (not roots), (p, m)
+
+
+def _rabin_oracle(m, p):
+    """Rabin's test, the int-list irreducibility test before Ben-Or's:
+    y^(p^d) = y mod m, and y^(p^(d/l)) - y prime to m for every prime
+    l | d."""
+    from drinfeld_weil.fields import _minus_y, _pgcd, _ppow_mod
+    d = len(m) - 1
+    if d <= 0:
+        return False
+    if d == 1:
+        return True
+    frob, powers = [0, 1], {}
+    for k in range(1, d + 1):
+        frob = _ppow_mod(frob, p, m, p)
+        powers[k] = frob
+    if _minus_y(powers[d], p):
+        return False
+    return all(len(_pgcd(list(m), _minus_y(powers[d // ell], p), p)) == 1
+               for ell in range(2, d + 1)
+               if d % ell == 0 and all(ell % k for k in range(2, ell)))
+
+
+def _has_root_oracle(m, p):
+    """Whether m has a root in F_p: gcd(m, y^p - y) is not constant."""
+    from drinfeld_weil.fields import _minus_y, _pgcd, _ppow_mod
+    return len(_pgcd(list(m), _minus_y(_ppow_mod([0, 1], p, m, p), p), p)) > 1
+
+
+def _monic(p, lo, hi):
+    return st.integers(lo, hi).flatmap(lambda d: st.lists(
+        st.integers(0, p - 1), min_size=d, max_size=d).map(lambda low: low + [1]))
+
+
+@st.composite
+def _monic_candidates(draw):
+    # a random monic, or a product of two, so that reducible inputs with
+    # no root and a smallest factor of any degree are common
+    from drinfeld_weil.fields import _pmul
+    p = draw(st.sampled_from([2, 3, 5, 7, 59023]))
+    if draw(st.booleans()):
+        return p, draw(_monic(p, 1, 16))
+    a, b = draw(_monic(p, 1, 8)), draw(_monic(p, 1, 8))
+    return p, [c % p for c in _pmul(a, b)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_monic_candidates())
+def test_ben_or_matches_rabin_oracle(case):
+    from drinfeld_weil.fields import _is_irreducible
+    p, m = case
+    irreducible = _is_irreducible(m, p)
+    assert irreducible == _rabin_oracle(m, p), (p, m)
+    if len(m) > 2:
+        assert not (irreducible and _has_root_oracle(m, p)), (p, m)
+
+
+def test_constants_are_not_irreducible():
+    from drinfeld_weil.fields import _is_irreducible
+    for p in (2, 3, 59023):
+        assert not _is_irreducible([1], p)
 
 
 def test_modulus_search_cost_does_not_grow_with_p():

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from drinfeld_weil import (Differential, FracField, PolyRing, inv_mod,
                            is_irreducible_poly, laurent_at_infinity, make_field,
@@ -170,3 +170,57 @@ def test_is_irreducible_poly():
     assert not is_irreducible_poly(R.poly([2, 0, 1]))    # t^2 - 1 = (t-1)(t+1)
     assert is_irreducible_poly(R.poly([1, 2, 0, 1]))     # no roots in F_3
     assert not is_irreducible_poly(R.poly([0, 0, 1]))
+
+
+def test_is_irreducible_poly_constants():
+    for c in ([], [1], [2]):
+        assert not is_irreducible_poly(R.poly(c))
+
+
+def _rabin_poly_oracle(f):
+    """Rabin's test over F_q, the generic irreducibility test before
+    Ben-Or's: t^(q^d) = t mod f, and t^(q^(d/l)) - t prime to f for
+    every prime l | d."""
+    from drinfeld_weil.polys import poly_powmod
+    q, d = f.ring.field.order, f.degree
+    if d is NEG_INF or d <= 0:
+        return False
+    d = int(d)
+    if d == 1:
+        return True
+    t = f.ring.gen() % f
+    powers, b = {}, t
+    for k in range(1, d + 1):
+        b = poly_powmod(b, q, f)
+        powers[k] = b
+    if powers[d] != t:
+        return False
+    return all(poly_gcd(powers[d // ell] - t, f).degree == 0
+               for ell in range(2, d + 1)
+               if d % ell == 0 and all(ell % k for k in range(2, ell)))
+
+
+_EXT_RINGS = [PolyRing(make_field(p, e), "t") for p, e in ((2, 2), (2, 3), (3, 2), (5, 2))]
+
+
+@st.composite
+def _ext_polys(draw):
+    # a random polynomial of degree 1-6 with a nonzero, often non-monic,
+    # leading coefficient, or a product of two
+    ring = draw(st.sampled_from(_EXT_RINGS))
+    field = ring.field
+
+    def poly(lo, hi):
+        d = draw(st.integers(lo, hi))
+        digits = st.lists(st.integers(0, field.p - 1), min_size=field.e, max_size=field.e)
+        coeffs = [field.elem(draw(digits)) for _ in range(d + 1)]
+        assume(not coeffs[-1].is_zero())
+        return ring.poly(coeffs)
+
+    return poly(1, 6) if draw(st.booleans()) else poly(1, 3) * poly(1, 3)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_ext_polys())
+def test_is_irreducible_poly_matches_rabin_oracle(f):
+    assert is_irreducible_poly(f) == _rabin_poly_oracle(f), f
