@@ -5,8 +5,13 @@ The coefficient field is any object with ``zero()``, ``one()`` and a
 that means FiniteField or FracField, so the same machinery serves
 F_q[t], F_q(theta), and polynomials in t with F_q(theta) coefficients.
 
-Over a prime field F_p, products and long division run on the int-list
-kernel of fields (_pmul, _pdivmod) instead of on element objects.
+Over a prime field F_p a polynomial holds its coefficients as one tuple
+of ints in [0, p), and all arithmetic runs on them and on the int-list
+kernel of fields (_pmul, _pdivmod); field elements are made only when
+.coeffs is read, once per polynomial.  _from_ints is the one constructor
+from ints.  Over any other field the coefficients are field elements.
+RatFunc sums and products take their gcds with the denominators first
+(Henrici), so the fraction comes out reduced from smaller gcds.
 is_irreducible_poly is Ben-Or's test, the algorithm that fields runs on
 int lists for the modulus search.
 
@@ -25,19 +30,10 @@ from .fields import FieldElem, FiniteField, _pdivmod, _pmul, _trim
 NEG_INF = float("-inf")  # degree of the zero polynomial
 
 
-def _prime_field_of(ring):
-    """The coefficient field if it is a prime finite field, else None."""
-    field = ring.field
-    return field if isinstance(field, FiniteField) and field.e == 1 else None
-
-
-def _ints(poly):
-    return [c.coeffs[0] for c in poly.coeffs]
-
-
-def _from_ints(ring, field, ints):
-    """The polynomial over the prime field with coefficients ints in [0, p)."""
-    return UniPoly(ring, tuple(FieldElem(field, (v,)) for v in _trim(ints)))
+def _from_ints(ring, ints):
+    """The polynomial over the prime field of ring with coefficients the
+    int list ints, each in [0, p); trailing zeros are dropped."""
+    return UniPoly(ring, tuple(_trim(ints)))
 
 
 class PolyRing:
@@ -46,9 +42,16 @@ class PolyRing:
     def __init__(self, field, var: str = "t"):
         self.field = field
         self.var = var
+        # p when field is the prime field F_p, else None; polynomials over
+        # F_p hold their coefficients as ints
+        self.p = field.p if isinstance(field, FiniteField) and field.e == 1 else None
 
     def poly(self, coeffs) -> "UniPoly":
-        elems = [self.field.coerce(c) for c in coeffs]
+        field, p = self.field, self.p
+        if p is not None:
+            return _from_ints(self, [c % p if isinstance(c, int) else field.coerce(c).coeffs[0]
+                                     for c in coeffs])
+        elems = [field.coerce(c) for c in coeffs]
         while elems and elems[-1].is_zero():
             elems.pop()
         return UniPoly(self, tuple(elems))
@@ -66,6 +69,8 @@ class PolyRing:
         return self.poly([0, 1])
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, PolyRing) and self.field == other.field
                 and self.var == other.var)
 
@@ -77,30 +82,50 @@ class PolyRing:
 
 
 class UniPoly:
-    __slots__ = ("ring", "coeffs")
+    """A trimmed polynomial over ring.field, constant term first.
 
-    def __init__(self, ring, coeffs):
+    Over a prime field the coefficients are held as ints in [0, p) and
+    every operation but evaluation runs on them; .coeffs is a read-only
+    tuple of field elements, built on first read and then cached.  Over
+    any other field the elements are held themselves."""
+
+    __slots__ = ("ring", "_c", "_view")
+
+    def __init__(self, ring, c):
         self.ring = ring
-        self.coeffs = coeffs
+        self._c = c  # ints in [0, p) over F_p, else field elements
+        self._view = None
+
+    @property
+    def coeffs(self):
+        view = self._view
+        if view is None:
+            if self.ring.p is None:
+                view = self._c
+            else:
+                field = self.ring.field
+                view = tuple([FieldElem(field, (v,)) for v in self._c])
+            self._view = view
+        return view
 
     @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self._c) - 1 if self._c else NEG_INF
 
     def is_zero(self):
-        return not self.coeffs
+        return not self._c
 
     def leading(self):
-        if not self.coeffs:
-            return self.ring.field.zero()
-        return self.coeffs[-1]
+        return self.coeffs[-1] if self._c else self.ring.field.zero()
 
     def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == self.ring.field.one()
+        one = 1 if self.ring.p is not None else self.ring.field.one()
+        return bool(self._c) and self._c[-1] == one
 
     def coeff(self, k):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        view = self.coeffs
+        if 0 <= k < len(view):
+            return view[k]
         return self.ring.field.zero()
 
     def _coerce(self, other):
@@ -117,9 +142,14 @@ class UniPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self._c, other._c
         if len(a) < len(b):
             a, b = b, a
+        p = self.ring.p
+        if p is not None:
+            out = [(x + y) % p for x, y in zip(a, b)]
+            out.extend(a[len(b):])
+            return _from_ints(self.ring, out)
         out = list(a)
         for i, c in enumerate(b):
             out[i] = out[i] + c
@@ -128,7 +158,10 @@ class UniPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(self.ring, tuple(-c for c in self.coeffs))
+        p = self.ring.p
+        if p is not None:
+            return UniPoly(self.ring, tuple([(-c) % p for c in self._c]))
+        return UniPoly(self.ring, tuple(-c for c in self._c))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -140,27 +173,29 @@ class UniPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        ring, p = self.ring, self.ring.p
         if isinstance(other, UniPoly):
-            if other.ring != self.ring:
+            if other.ring != ring:
                 raise ValueError("polynomial ring mismatch")
-            if not self.coeffs or not other.coeffs:
-                return self.ring.zero()
-            prime = _prime_field_of(self.ring)
-            if prime is not None:
-                p = prime.p
-                out = _pmul(_ints(self), _ints(other))
-                return _from_ints(self.ring, prime, [c % p for c in out])
-            zero = self.ring.field.zero()
-            out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
+            if not self._c or not other._c:
+                return ring.zero()
+            if p is not None:
+                # the leading coefficient is a product of units mod p
+                return UniPoly(ring, tuple([c % p for c in _pmul(self._c, other._c)]))
+            zero = ring.field.zero()
+            out = [zero] * (len(self._c) + len(other._c) - 1)
+            for i, a in enumerate(self._c):
                 if a.is_zero():
                     continue
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other._c):
                     out[i + j] = out[i + j] + a * b
-            return self.ring.poly(out)
+            return ring.poly(out)
         # scalar
-        c = self.ring.field.coerce(other)
-        return self.ring.poly([a * c for a in self.coeffs])
+        c = ring.field.coerce(other)
+        if p is not None:
+            c = c.coeffs[0]
+            return UniPoly(ring, tuple([a * c % p for a in self._c]) if c else ())
+        return ring.poly([a * c for a in self._c])
 
     __rmul__ = __mul__
 
@@ -184,37 +219,40 @@ class UniPoly:
 
     def __divmod__(self, other):
         other = self._divisor(other)
-        prime = _prime_field_of(self.ring)
-        if prime is not None:
-            quot, rem = _pdivmod(_ints(self), _ints(other), prime.p)
-            return _from_ints(self.ring, prime, quot), _from_ints(self.ring, prime, rem)
-        inv_lead = self.ring.field.one() / other.leading()
-        quot = [self.ring.field.zero()] * max(len(self.coeffs) - len(other.coeffs) + 1, 0)
-        rem = list(self.coeffs)
-        d = len(other.coeffs) - 1
+        ring = self.ring
+        if ring.p is not None:
+            quot, rem = _pdivmod(self._c, other._c, ring.p)
+            return _from_ints(ring, quot), _from_ints(ring, rem)
+        inv_lead = ring.field.one() / other.leading()
+        quot = [ring.field.zero()] * max(len(self._c) - len(other._c) + 1, 0)
+        rem = list(self._c)
+        d = len(other._c) - 1
         while len(rem) - 1 >= d and rem:
             c = rem[-1] * inv_lead
             shift = len(rem) - 1 - d
             quot[shift] = c
-            for j, oc in enumerate(other.coeffs):
+            for j, oc in enumerate(other._c):
                 rem[shift + j] = rem[shift + j] - c * oc
             while rem and rem[-1].is_zero():
                 rem.pop()
-        return self.ring.poly(quot), self.ring.poly(rem)
+        return ring.poly(quot), ring.poly(rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        prime = _prime_field_of(self.ring)
-        if prime is None:
+        p = self.ring.p
+        if p is None:
             return divmod(self, other)[1]
-        rem = _pdivmod(_ints(self), _ints(self._divisor(other)), prime.p)[1]
-        return _from_ints(self.ring, prime, rem)
+        return _from_ints(self.ring, _pdivmod(self._c, self._divisor(other)._c, p)[1])
 
     def monic(self):
-        if self.is_zero():
+        if not self._c or self.is_monic():
             return self
+        p = self.ring.p
+        if p is not None:
+            inv = pow(self._c[-1], p - 2, p)
+            return UniPoly(self.ring, tuple([c * inv % p for c in self._c]))
         return self * (self.ring.field.one() / self.leading())
 
     def __call__(self, x):
@@ -225,7 +263,7 @@ class UniPoly:
             for c in reversed(self.coeffs):
                 acc = acc * x + x.ring.constant(c)
             return acc
-        if not self.coeffs:
+        if not self._c:
             return self.ring.field.zero()
         acc = None
         for c in reversed(self.coeffs):
@@ -244,8 +282,8 @@ class UniPoly:
         if l == 0:
             return self
         out = []
-        for m in range(l, len(self.coeffs)):
-            out.append(self.coeffs[m] * math.comb(m, l))
+        for m in range(l, len(self._c)):
+            out.append(self._c[m] * math.comb(m, l))
         return self.ring.poly(out)
 
     def map_coeffs(self, fn, ring=None):
@@ -253,26 +291,25 @@ class UniPoly:
         return ring.poly([fn(c) for c in self.coeffs])
 
     def __eq__(self, other):
-        if isinstance(other, UniPoly):
-            return self.ring == other.ring and self.coeffs == other.coeffs
-        coerced = self._coerce(other)
-        if coerced is NotImplemented:
+        # no coercion: equal polynomials must hash equal
+        if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.coeffs == coerced.coeffs
+        return self.ring == other.ring and self._c == other._c
 
     def __hash__(self):
-        return hash((self.ring, self.coeffs))
+        return hash((self.ring, self._c))
 
     def __repr__(self):
         return f"UniPoly({self})"
 
     def __str__(self):
-        if not self.coeffs:
+        if not self._c:
             return "0"
         var = self.ring.var
+        coeffs = self.coeffs
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if c.is_zero():
                 continue
             cs = str(c)
@@ -365,9 +402,8 @@ class RatFunc:
                 if g.degree > 0:
                     num = num // g
                     den = den // g
-                lc = den.leading()
-                if lc != field.ring.field.one():
-                    inv = field.ring.field.one() / lc
+                if not den.is_monic():
+                    inv = field.ring.field.one() / den.leading()
                     num = num * inv
                     den = den * inv
         self.field = field
@@ -385,9 +421,22 @@ class RatFunc:
         return self.field.coerce(other)
 
     def __add__(self, other):
+        """a/b + c/d with g = gcd(b, d): the numerator t = a(d/g) + c(b/g)
+        can share a factor with g only, so one gcd with g reduces it
+        (Henrici, 1956; Knuth, TAOCP 2, 4.5.1)."""
         other = self._coerce(other)
-        return RatFunc(self.field, self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        g = poly_gcd(b, d)
+        if g.degree > 0:
+            b, d = b // g, d // g
+        num, den = a * d + c * b, b * other.den
+        if num.is_zero():
+            return self.field.zero()
+        if g.degree > 0:
+            g = poly_gcd(num, g)
+            if g.degree > 0:
+                num, den = num // g, den // g
+        return RatFunc(self.field, num, den, _canonical=True)
 
     __radd__ = __add__
 
@@ -401,8 +450,19 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other):
+        """(a/b)(c/d) = (a/g1)(c/g2) / ((b/g2)(d/g1)) with g1 = gcd(a, d)
+        and g2 = gcd(c, b), already reduced."""
         other = self._coerce(other)
-        return RatFunc(self.field, self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if a.is_zero() or c.is_zero():
+            return self.field.zero()
+        g = poly_gcd(a, d)
+        if g.degree > 0:
+            a, d = a // g, d // g
+        g = poly_gcd(c, b)
+        if g.degree > 0:
+            c, b = c // g, b // g
+        return RatFunc(self.field, a * c, b * d, _canonical=True)
 
     __rmul__ = __mul__
 
@@ -422,11 +482,10 @@ class RatFunc:
         return RatFunc(self.field, self.num ** n, self.den ** n, _canonical=True)
 
     def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except (TypeError, ValueError):
+        # no coercion: equal fractions must hash equal
+        if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.field == other.field and self.num == other.num and self.den == other.den
 
     def __hash__(self):
         return hash((self.field, self.num, self.den))

@@ -41,7 +41,8 @@ def dual_map(f: UniPoly, i: int) -> UniPoly:
     n = int(f.degree)
     if not 0 <= i < n:
         raise ValueError(f"index {i} out of range for deg f = {n}")
-    return f.ring.poly([f.coeff(i + j + 1) for j in range(n - i)])
+    # f is trimmed, so the slice is too: it ends with f's leading term
+    return UniPoly(f.ring, f._c[i + 1:])
 
 
 def weil_op2(f: UniPoly) -> MPoly:

@@ -324,6 +324,7 @@ def test_bridge_left_side_matches_series_oracle():
     (((0, 1), (1,)), [1, 1], 3),
     (((1,), (), (1,)), [1, 1], 2),      # rank 3, g = (1, 0, 1)
     (((1,), (), (1,)), [0, 1], 2),
+    (((0, 1), (1,)), [1, 0, 1], 3),     # rank 2, f = x^2 + 1
 ])
 def test_main_theorem_deeper_cells_over_f3(gs, f, N):
     M = _bridge_module(3, gs)

@@ -7,7 +7,7 @@ from drinfeld_weil import (Differential, FracField, PolyRing, inv_mod,
                            is_irreducible_poly, laurent_at_infinity, make_field,
                            poly_gcd, residue_at_infinity, residue_at_point)
 from drinfeld_weil.errors import NotInvertibleModF
-from drinfeld_weil.polys import NEG_INF
+from drinfeld_weil.polys import NEG_INF, RatFunc
 from drinfeld_weil.weil_ops import dual_map
 
 F3 = make_field(3)
@@ -224,3 +224,177 @@ def _ext_polys(draw):
 @given(_ext_polys())
 def test_is_irreducible_poly_matches_rabin_oracle(f):
     assert is_irreducible_poly(f) == _rabin_poly_oracle(f), f
+
+
+# ---------------------------------------------------------------------------
+# UniPoly over F_p holds ints and runs on the fields kernel.  The oracle is
+# schoolbook arithmetic on lists of field elements, constant term first.
+
+_PRIMES = (2, 3, 5, 7, 59023)
+_PRIME_RINGS = {p: PolyRing(make_field(p), "t") for p in _PRIMES}
+
+
+def _o_trim(a):
+    a = list(a)
+    while a and a[-1].is_zero():
+        a.pop()
+    return a
+
+
+def _o_add(a, b):
+    n = max(len(a), len(b))
+    zero = (a or b)[0].field.zero() if (a or b) else None
+    a = a + [zero] * (n - len(a))
+    b = b + [zero] * (n - len(b))
+    return _o_trim([x + y for x, y in zip(a, b)])
+
+
+def _o_neg(a):
+    return [-x for x in a]
+
+
+def _o_mul(a, b):
+    if not a or not b:
+        return []
+    out = [a[0].field.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _o_trim(out)
+
+
+def _o_divmod(a, b):
+    inv = b[-1].inverse()
+    quot = [b[0].field.zero()] * max(len(a) - len(b) + 1, 0)
+    rem = list(a)
+    while len(rem) >= len(b):
+        c = rem[-1] * inv
+        shift = len(rem) - len(b)
+        quot[shift] = c
+        for j, y in enumerate(b):
+            rem[shift + j] = rem[shift + j] - c * y
+        rem = _o_trim(rem)
+    return _o_trim(quot), rem
+
+
+def _o_monic(a):
+    if not a:
+        return a
+    inv = a[-1].inverse()
+    return [x * inv for x in a]
+
+
+def _o_gcd(a, b):
+    while b:
+        a, b = b, _o_divmod(a, b)[1]
+    return _o_monic(a)
+
+
+@st.composite
+def _prime_poly_pair(draw):
+    # lengths up to 24, so that products cross the Kronecker crossover
+    p = draw(st.sampled_from(_PRIMES))
+    digits = st.lists(st.integers(0, p - 1), min_size=0, max_size=24)
+    return _PRIME_RINGS[p], draw(digits), draw(digits)
+
+
+def _elems(ring, ints):
+    return _o_trim([ring.field.elem(c) for c in ints])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_prime_poly_pair())
+def test_int_unipoly_matches_element_schoolbook(case):
+    ring, ac, bc = case
+    a, b = ring.poly(ac), ring.poly(bc)
+    ea, eb = _elems(ring, ac), _elems(ring, bc)
+    assert list(a.coeffs) == ea
+    assert list((a + b).coeffs) == _o_add(ea, eb)
+    assert list((a - b).coeffs) == _o_add(ea, _o_neg(eb))
+    assert list((-a).coeffs) == _o_neg(ea)
+    assert list((a * b).coeffs) == _o_mul(ea, eb)
+    assert list(a.monic().coeffs) == _o_monic(ea)
+    scalar = ring.field.elem(bc[0] if bc else 0)
+    assert list((a * scalar).coeffs) == _o_trim([x * scalar for x in ea])
+    if eb:
+        quot, rem = divmod(a, b)
+        want_q, want_r = _o_divmod(ea, eb)
+        assert (list(quot.coeffs), list(rem.coeffs)) == (want_q, want_r)
+        assert list((a % b).coeffs) == want_r
+        assert list(poly_gcd(a, b).coeffs) == _o_gcd(ea, eb)
+        if len(eb) > 1 and len(_o_gcd(ea, eb)) == 1 and ea:
+            # the inverse of a mod b, checked by the oracle's product
+            g = list(inv_mod(a, b).coeffs)
+            assert len(g) < len(eb)
+            assert _o_divmod(_o_mul(g, ea), eb)[1] == [ring.field.one()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_prime_poly_pair())
+def test_int_unipoly_eq_hash_str_match_the_built_poly(case):
+    # a result of arithmetic and ring.poly of the same list are one value
+    ring, ac, bc = case
+    a, b = ring.poly(ac), ring.poly(bc)
+    for got, want in ((a * b, _o_mul(_elems(ring, ac), _elems(ring, bc))),
+                      (a + b, _o_add(_elems(ring, ac), _elems(ring, bc))),
+                      (-a, _o_neg(_elems(ring, ac)))):
+        built = ring.poly(want)
+        assert got == built and hash(got) == hash(built)
+        assert str(got) == str(built)
+        assert got.degree == built.degree and got.is_zero() == built.is_zero()
+        assert got.is_monic() == built.is_monic()
+        assert got.leading() == built.leading()
+
+
+def test_coeffs_view_is_cached():
+    P = R.poly([1, 0, 2, 1])
+    view = P.coeffs
+    assert P.coeffs is view
+    assert all(P.coeff(k) is view[k] for k in range(4))
+    assert P.coeff(7) == F3.zero()
+
+
+def test_polys_and_fractions_equal_only_their_own_type():
+    # equality does not coerce, so it agrees with hash
+    K = FracField(R)
+    for x, y in ((R.one(), 1), (K.one(), R.one()), (R.one(), F3.one()),
+                 (K.one(), 1), (K.one(), F3.one()), (R.zero(), 0)):
+        assert x != y and y != x
+        assert len({x, y}) == 2
+    assert R.poly([2, 1]) == R.poly([2, 1]) and K.gen() == K.frac([0, 1])
+
+
+_FRAC_FIELDS = [FracField(PolyRing(make_field(*pe), "theta")) for pe in ((2, 1), (3, 1), (59023, 1), (2, 2))]
+
+
+@st.composite
+def _fraction_pair(draw):
+    # fractions with common factors between the denominators and across
+    # the two fractions, so that every gcd of the sum and product is hit
+    K = draw(st.sampled_from(_FRAC_FIELDS))
+    F = K.ring.field
+    digits = st.lists(st.integers(0, F.order - 1), min_size=0, max_size=4)
+
+    def poly():
+        return K.ring.poly([F.elem([(c // F.p ** i) % F.p for i in range(F.e)])
+                            for c in draw(digits)])
+
+    shared = poly()
+    fracs = []
+    for _ in range(2):
+        num, den = poly() * shared, poly() * shared
+        assume(not den.is_zero())
+        fracs.append(K.frac(num, den))
+    return K, fracs[0], fracs[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fraction_pair())
+def test_ratfunc_sum_and_product_match_reduce_after(case):
+    # the oracle reduces num/den by one gcd after the plain formula
+    K, x, y = case
+    assert x + y == RatFunc(K, x.num * y.den + y.num * x.den, x.den * y.den)
+    assert x - y == RatFunc(K, x.num * y.den - y.num * x.den, x.den * y.den)
+    assert x * y == RatFunc(K, x.num * y.num, x.den * y.den)
+    for z in (x + y, x * y):
+        assert z.den.is_monic() and poly_gcd(z.num, z.den).degree == 0
