@@ -7,12 +7,11 @@ of degree < e stored as length-e tuples of ints.  All values are
 immutable, equality is structural, and every operation is a pure
 function, so instances can be shared freely between threads.
 
-F_p[y] arithmetic on int lists has one kernel here, _pmul (schoolbook
-convolution, or one int product by Kronecker substitution above a
-measured crossover) and _pdivmod (long division); the modulus search,
-the reduction table of each field and polys.UniPoly over F_p, which
-holds its coefficients as ints, all run on it.  Element products keep
-their own table reduction, which is faster per product.
+F_p[y] arithmetic on int lists has one kernel here, _pmul (convolution)
+and _pdivmod (long division); the modulus search, the reduction table
+of each field and polys.UniPoly over F_p, which holds its coefficients
+as ints, all run on it.  Element products keep their own table
+reduction, which is faster per product.
 The modulus search tests each candidate with Ben-Or's irreducibility
 test on this kernel; polys.is_irreducible_poly is the same test on
 UniPoly over any finite field.
@@ -26,8 +25,6 @@ subfield embedding, and the coordinates over a subfield and their lift.
 from __future__ import annotations
 
 import itertools
-import sys
-from array import array
 from operator import mul
 
 from . import linalg
@@ -77,16 +74,6 @@ def _apply_rows(rows, v, p):
     return tuple([sum(map(mul, row, v)) % p for row in rows])
 
 
-# Kronecker packing beats the schoolbook from len(a) * len(b) = 64 digit
-# products on (2-core x86-64, Python 3.11, p in {2, 3, 7, 59023}: even at
-# 8 x 8 coefficients, 1.2-2.4x faster at 10 x 10, 3-6x at 20 x 20, 18-33x
-# at 100 x 100).  An operand is packed as an array of machine words of at
-# least w bytes, native byte order, so packing and unpacking run in C.
-_KRONECKER_MIN_WORK = 64
-_PACK_CODES = {w: next(c for c in "BHIQ" if array(c).itemsize >= w) for w in range(1, 9)}
-_BYTEORDER = sys.byteorder
-
-
 def _trim(a):
     while a and a[-1] == 0:
         a.pop()
@@ -94,29 +81,9 @@ def _trim(a):
 
 
 def _pmul(a, b):
-    """Product of two int lists, coefficients left unreduced.
-
-    Every caller passes non-negative coefficients reduced mod p, so no
-    product coefficient exceeds B = min(len a, len b) * max a * max b.
-    From _KRONECKER_MIN_WORK digit products on, while B fits in 8 bytes,
-    the product is one int product by Kronecker substitution: each
-    operand packed into one int, w bytes per coefficient with 8w greater
-    than the bit length of B, so no coefficient carries into the next
-    (von zur Gathen and Gerhard, Modern Computer Algebra, 8.4).  Below
-    it, schoolbook."""
+    """Product of two int lists, coefficients left unreduced."""
     if not a or not b:
         return []
-    if len(a) * len(b) >= _KRONECKER_MIN_WORK:
-        # a zero maximum counts as 1, so each operand fits in w bytes too
-        w = (min(len(a), len(b)) * max(max(a), 1) * max(max(b), 1)).bit_length() // 8 + 1
-        if w <= 8:
-            code = _PACK_CODES[w]
-            x = int.from_bytes(array(code, a).tobytes(), _BYTEORDER)
-            y = int.from_bytes(array(code, b).tobytes(), _BYTEORDER)
-            out = array(code)
-            out.frombytes((x * y).to_bytes((len(a) + len(b) - 1) * out.itemsize,
-                                           _BYTEORDER))
-            return out.tolist()
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:

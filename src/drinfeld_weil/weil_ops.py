@@ -41,8 +41,8 @@ def dual_map(f: UniPoly, i: int) -> UniPoly:
     n = int(f.degree)
     if not 0 <= i < n:
         raise ValueError(f"index {i} out of range for deg f = {n}")
-    # f is trimmed, so the slice is too: it ends with f's leading term
-    return UniPoly(f.ring, f._c[i + 1:])
+    # the quotient by t^(i+1) drops a_0, ..., a_i
+    return f // f.ring.gen() ** (i + 1)
 
 
 def weil_op2(f: UniPoly) -> MPoly:

@@ -292,7 +292,7 @@ def _o_gcd(a, b):
 
 @st.composite
 def _prime_poly_pair(draw):
-    # lengths up to 24, so that products cross the Kronecker crossover
+    # lengths 0 to 24: zero, constants and long products alike
     p = draw(st.sampled_from(_PRIMES))
     digits = st.lists(st.integers(0, p - 1), min_size=0, max_size=24)
     return _PRIME_RINGS[p], draw(digits), draw(digits)
