@@ -11,7 +11,7 @@ from .multipoly import MPoly, MPolyRing
 from .pairing import diamond_moore, main_theorem_check, moore_det, weil_pairing
 from .polys import (FracField, PolyRing, RatFunc, UniPoly, inv_mod,
                     is_irreducible_poly, poly_gcd)
-from .series import (Differential, LaurentAtInfinity, laurent_at_infinity,
+from .series import (LaurentAtInfinity, laurent_at_infinity,
                      residue_at_infinity, residue_at_point)
 from .tate import (QExpansion, RemainderPoly, TruncAGF, agf, agf_mod,
                    agf_remainder, ev_remainder, exp_qexp,
@@ -19,7 +19,7 @@ from .tate import (QExpansion, RemainderPoly, TruncAGF, agf, agf_mod,
                    remainder_via_interpolation)
 from .twisted import TwistedPoly
 from .weil_ops import (dual_map, katen_recursion, rank3_closed,
-                       reduce_mod_star, star_action, tree_product, weil_op2,
-                       weil_op2_quotient, weil_op_r, weil_op_rt)
+                       reduce_mod_star, star_action, tree_product,
+                       weil_op2_quotient, weil_op_r)
 
 __version__ = "0.1.0"

@@ -10,8 +10,9 @@ function, so instances can be shared freely between threads.
 F_p[y] arithmetic on int lists has one kernel here, _pmul (convolution)
 and _pdivmod (long division); the modulus search, the reduction table
 of each field and polys.UniPoly over F_p, which holds its coefficients
-as ints, all run on it.  Element products keep their own table
-reduction, which is faster per product.
+as ints, all run on it.  Element products take their convolution from
+_pmul and keep their own table reduction, which is faster per product
+than _pdivmod.
 The modulus search tests each candidate with Ben-Or's irreducibility
 test on this kernel; polys.is_irreducible_poly is the same test on
 UniPoly over any finite field.
@@ -96,19 +97,23 @@ def _pdivmod(a, m, p):
     """(quotient, remainder) of a by m over F_p, by long division.
 
     a may hold any ints; m is trimmed with m[-1] prime to p.  Both
-    results are reduced mod p and trimmed, deg remainder < deg m."""
-    rem = _trim([c % p for c in a])
+    results are reduced mod p and trimmed, deg remainder < deg m.
+    Quotient digits are found from the top down, each reduced when read;
+    a nonzero one subtracts only m's lower coefficients."""
     d = len(m) - 1
+    rem = list(a)
     inv_lead = pow(m[-1], p - 2, p)
-    quot = [0] * max(len(rem) - d, 0)
-    while len(rem) > d:
-        c = (rem[-1] * inv_lead) % p
-        shift = len(rem) - 1 - d
-        quot[shift] = c
-        for j, mj in enumerate(m):
-            rem[shift + j] = (rem[shift + j] - c * mj) % p
-        _trim(rem)
-    return quot, rem
+    low = m[:d]
+    quot = [0] * (len(rem) - d)
+    for shift in range(len(quot) - 1, -1, -1):
+        c = rem[shift + d] * inv_lead % p
+        if c:
+            quot[shift] = c
+            j = shift
+            for mj in low:
+                rem[j] -= c * mj
+                j += 1
+    return _trim(quot), _trim([c % p for c in rem[:d]])
 
 
 def _pgcd(a, b, p):
@@ -361,11 +366,7 @@ class FiniteField:
         p, e = self.p, self.e
         if e == 1:
             return FieldElem(self, ((a.coeffs[0] * b.coeffs[0]) % p,))
-        conv = [0] * (2 * e - 1)
-        for i, ai in enumerate(a.coeffs):
-            if ai:
-                for j, bj in enumerate(b.coeffs):
-                    conv[i + j] += ai * bj
+        conv = _pmul(a.coeffs, b.coeffs)
         out = [c % p for c in conv[:e]]
         for k in range(e, 2 * e - 1):
             c = conv[k] % p

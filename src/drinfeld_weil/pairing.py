@@ -13,15 +13,20 @@ the package's one Moore determinant.  It takes concrete torsion points
 q-expansions, truncated generating functions and f-remainders alike:
 a table of each entry's twists, then the signed sum over permutations.
 
-weil_pairing builds each argument's orbit mu, phi_x mu, ...,
-phi_x^(deg f) mu once, reads the torsion check off it, and forms the
-twists of each orbit point once; every one of the deg(f)^r operator
-terms is a signed sum over rows of that table.  diamond_moore shares
-the same per-term sum.
+One builder, _orbit, forms the orbit mu, phi_x mu, ..., each point
+from the one before, for field elements and q-expansions alike.  The
+twists of each orbit point the operator reads are formed once, and
+every one of the deg(f)^r operator terms is a signed sum over rows of
+that table.  weil_pairing builds each argument's orbit up to
+phi_x^(deg f) mu once and reads the torsion check off it;
+diamond_moore shares the same per-term sum.
 
 The main bridge check compares the f-remainder of the Moore
 determinant of r generating functions against the operator side, slot
 by t-slot and monomial by monomial inside the truncation guard band.
+The operator side is weil_op_r(f, r + 1), its last variable read as t,
+and the part-2 pairing is weil_op_r(f, r); both act on one orbit per
+argument.
 It forms that left side as the Moore determinant of the generating
 functions' remainders in F_q(theta)[t]/(f); the determinant of the
 generating functions themselves, with values in K(t), followed by
@@ -31,6 +36,7 @@ tate.agf_remainder, is kept as the tests' oracle.
 from __future__ import annotations
 
 import itertools
+from functools import partial
 
 from .errors import NotTorsion, TruncationTooShallow
 from .modules import DrinfeldModule, exp_coeffs
@@ -38,7 +44,7 @@ from .multipoly import MPoly
 from .polys import UniPoly
 from .tate import (QExpansion, agf_mod, band_monomials, mono_str,
                    phi_apply_qexp, _merge_caps)
-from .weil_ops import weil_op_r, weil_op_rt
+from .weil_ops import weil_op_r
 
 
 def moore_det(mus, q: int):
@@ -78,10 +84,15 @@ def _signed_sum(table):
     return acc
 
 
-def _phi_x_apply(M: DrinfeldModule, v):
-    if isinstance(v, QExpansion):
-        return phi_apply_qexp(M, M.x_ring().gen(), v)
-    return M.phi_x().apply(v)
+def _orbit(M: DrinfeldModule, mu, depth: int):
+    """mu, phi_x mu, ..., phi_x^depth mu, each point from the one before;
+    q-expansions are acted on inside their guard band."""
+    step = (partial(phi_apply_qexp, M, M.x_ring().gen())
+            if isinstance(mu, QExpansion) else M.phi_x().apply)
+    orbit = [mu]
+    for _ in range(depth):
+        orbit.append(step(orbit[-1]))
+    return orbit
 
 
 def _zero_like(M: DrinfeldModule, mus):
@@ -104,12 +115,7 @@ def diamond_moore(P: MPoly, M: DrinfeldModule, mus):
     r = P.ring.nvars - (1 if has_t else 0)
     if len(mus) != r:
         raise ValueError(f"operator in {r} variables applied to {len(mus)} arguments")
-    orbits = []
-    for i, mu in enumerate(mus):
-        orbit = [mu]
-        for _ in range(P.degree_in(i)):
-            orbit.append(_phi_x_apply(M, orbit[-1]))
-        orbits.append(orbit)
+    orbits = [_orbit(M, mu, P.degree_in(i)) for i, mu in enumerate(mus)]
     return _diamond_orbits(P, M, orbits, P.degree_in(r) + 1 if has_t else None)
 
 
@@ -142,14 +148,11 @@ def weil_pairing(M: DrinfeldModule, f: UniPoly, mus):
     terms act on."""
     if len(mus) != M.rank:
         raise ValueError("expected one argument per unit of rank")
-    phi_x = M.phi_x()
     a = [M.embed_scalars(c) for c in f.coeffs]
     one = M.base.one()
     orbits = []
     for i, mu in enumerate(mus):
-        orbit = [mu]
-        for _ in range(len(a) - 1):
-            orbit.append(phi_x.apply(orbit[-1]))
+        orbit = _orbit(M, mu, len(a) - 1)
         phi_f_mu = M.base.zero()
         for ak, v in zip(a, orbit):
             if not ak.is_zero():
@@ -183,8 +186,11 @@ def main_theorem_check(M: DrinfeldModule, f: UniPoly, r: int, N: int) -> dict:
     lhs_slots = moore_det(rems, M.q).coeffs
     cs = [h.coeffs[n - 1] for h in rems]
 
-    rhs_slots = diamond_moore(weil_op_rt(f, r), M, cs)
-    pair_val = diamond_moore(weil_op_r(f, r), M, cs)
+    # the (r+1)-variable operator, its last variable t (n t-slots), and
+    # the rank-r operator both read phi_x^k c_i for k < n only
+    orbits = [_orbit(M, c, n - 1) for c in cs]
+    rhs_slots = _diamond_orbits(weil_op_r(f, r + 1), M, orbits, n)
+    pair_val = _diamond_orbits(weil_op_r(f, r), M, orbits, None)
 
     failures = []
     checked = 0

@@ -1,4 +1,5 @@
-"""Laurent expansion at infinity and residues of rational differentials.
+"""Laurent expansion at infinity and residues of rational differentials,
+each differential g dt given by its rational function g.
 
 The expansion variable is u = 1/t.  Residues at infinity follow the
 substitution t = 1/u, dt = -du/u^2, the sign convention under which the
@@ -21,12 +22,6 @@ class LaurentAtInfinity:
     lead_exp: int
     coeffs: tuple
     prec: int
-
-
-@dataclass(frozen=True)
-class Differential:
-    """The differential g * dt."""
-    g: RatFunc
 
 
 def _series_div(num_coeffs, den_coeffs, field, prec):
@@ -53,9 +48,8 @@ def laurent_at_infinity(r: RatFunc, prec: int) -> LaurentAtInfinity:
     return LaurentAtInfinity(int(lead), tuple(coeffs), prec)
 
 
-def residue_at_infinity(w: Differential):
+def residue_at_infinity(g: RatFunc):
     """Res_inf(g dt) = -[u^1 coefficient of the expansion of g]."""
-    g = w.g
     field = g.num.ring.field
     if g.is_zero():
         return field.zero()
@@ -67,9 +61,8 @@ def residue_at_infinity(w: Differential):
     return -exp.coeffs[idx]
 
 
-def residue_at_point(w: Differential, c):
+def residue_at_point(g: RatFunc, c):
     """Coefficient of (t - c)^{-1} in the local expansion of g dt at c."""
-    g = w.g
     ring = g.num.ring
     field = ring.field
     c = field.coerce(c)

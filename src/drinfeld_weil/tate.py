@@ -36,7 +36,7 @@ from .modules import DrinfeldModule, ExpCoeffs, exp_coeffs
 from .multipoly import MPoly, MPolyRing
 from .polys import FracField, PolyRing, RatFunc, UniPoly, inv_mod, lift_poly, poly_gcd
 from .series import _series_div
-from .weil_ops import dual_map, weil_op2
+from .weil_ops import dual_map, weil_op_r
 
 INF_CAP = 10 ** 9
 
@@ -442,7 +442,7 @@ def mp_coeffs(p: UniPoly, l: int):
     i < deg p; each has degree < (l+1) deg p."""
     field = p.ring.field
     d = int(p.degree)
-    O = MPoly(MPolyRing(field, ("x", "t")), weil_op2(p).terms)
+    O = MPoly(MPolyRing(field, ("x", "t")), weil_op_r(p, 2).terms)
     P = (O ** (l + 1)).reduce_mod(p, 1)
     rx = PolyRing(field, "x")
     out = []

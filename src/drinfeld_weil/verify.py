@@ -24,7 +24,7 @@ from .modules import (DrinfeldModule, a_module_basis, exp_coeffs,
 from .multipoly import MPoly, MPolyRing
 from .polys import (FracField, PolyRing, is_irreducible_poly, lift_poly,
                     poly_gcd)
-from .series import Differential, residue_at_infinity, residue_at_point
+from .series import residue_at_infinity, residue_at_point
 
 
 class Recorder:
@@ -85,7 +85,7 @@ def suite_operators(seed=0, cases=None) -> dict:
             tag = f"q={q} #{idx} f={f}"
 
             # two independent rank-two constructions
-            o2 = W.weil_op2(f)
+            o2 = W.weil_op_r(f, 2)
             rec.equal("op2-quotient", o2, W.weil_op2_quotient(f), tag)
 
             # X1*O2 - f(X1) = X2*O2 - f(X2), unreduced
@@ -151,7 +151,7 @@ def suite_operators(seed=0, cases=None) -> dict:
                     anchor = r - 1 if l < r else 0
                     others = tuple(i for i in range(r) if i != l - 1)
                     small = W.weil_op_r(f, r - 1).inject(ring, others)
-                    on2 = W.weil_op2(nn).inject(ring, (l - 1, anchor))
+                    on2 = W.weil_op_r(nn, 2).inject(ring, (l - 1, anchor))
                     term1 = ring.from_unipoly(m, l - 1) * on2 * small
                     prod = ring.one()
                     for j in others:
@@ -212,7 +212,7 @@ def suite_operators(seed=0, cases=None) -> dict:
 # residues
 
 def _pairing_residue(Ft, num, den):
-    return residue_at_infinity(Differential(Ft.frac(num, den)))
+    return residue_at_infinity(Ft.frac(num, den))
 
 
 def suite_residues(seed=0, cases=None) -> dict:
@@ -291,14 +291,14 @@ def suite_residues(seed=0, cases=None) -> dict:
         emb = embed(F, big)
         Rb = PolyRing(big, "t")
         gb = FracField(Rb).frac(lift_poly(num, Rb, emb), lift_poly(den, Rb, emb))
-        total_res = emb(residue_at_infinity(Differential(g)))
+        total_res = emb(residue_at_infinity(g))
         seen = set()
         for p, _ in factors:
             pb = lift_poly(p, Rb, emb)
             for root in big.elements():
                 if pb(root).is_zero() and root.coeffs not in seen:
                     seen.add(root.coeffs)
-                    total_res = total_res + residue_at_point(Differential(gb), root)
+                    total_res = total_res + residue_at_point(gb, root)
         rec.check("residue-theorem", total_res.is_zero(),
                   f"q={q} #{idx} num={num} den={den}")
 
@@ -460,7 +460,7 @@ def suite_maurischat_perkins(seed=0, cases=None) -> dict:
     ring_xt = MPolyRing(F, ("x", "t"))
 
     def op_xt(modulus):
-        return MPoly(ring_xt, W.weil_op2(modulus).terms)
+        return MPoly(ring_xt, W.weil_op_r(modulus, 2).terms)
 
     o1 = op_xt(p)
     px = ring_xt.from_unipoly(p, 0)
@@ -517,7 +517,7 @@ def suite_main_theorem(seed=0, cases=None) -> dict:
     # rank-r operator
     for f in moduli:
         n = int(f.degree)
-        ot = W.weil_op_rt(f, 2)
+        ot = W.weil_op_r(f, 3)
         o2 = W.weil_op_r(f, 2).inject(ot.ring, (0, 1))
         rec.equal("top-slot-operator", ot.coeff_in_var(2, n - 1), o2, f"f={f}")
     return rec.report("main-theorem", started)

@@ -1,21 +1,24 @@
 """Weil operators attached to a monic modulus f over F_q.
 
-The rank-two operator is the polynomial
+weil_op_r is the one operator builder.  The rank-two operator
+weil_op_r(f, 2) is the polynomial
     O2(X1, X2) = sum_{k<n} X1^k b_k(X2),   b_k = D_f(t^k),
               = sum_{j=1}^n a_j sum_{alpha+beta=j-1} X1^alpha X2^beta,
 where D_f is the dual map t^i -> sum_j a_{i+j+1} t^j of F_q[t]/f and n
 = deg f.  It also equals the exact quotient (f(X2)-f(X1))/(X2-X1),
-which this module computes independently by synthetic division so the
-two constructions can be checked against each other.
+which weil_op2_quotient computes independently by synthetic division
+so the two constructions can be checked against each other.
 
 The rank-r operator is the normal form of prod_{j<r} O2(X_j, X_r) mod
 f(X_r).  Its coefficient of X_1^{k_1} ... X_{r-1}^{k_{r-1}} is the
 remainder prod_j b_{k_j} mod f, read as a polynomial in X_r, and that
 product depends only on the multiset {k_j}: weil_op_r forms it once per
-non-decreasing index tuple in F_q[t]/(f).  tree_product is the
-independent check: it multiplies rank-two operators over the edges of
-any spanning tree as multivariate polynomials and reduces every
-variable, which gives the same normal form for every connected graph.
+non-decreasing index tuple in F_q[t]/(f).  Read with its last variable
+as t, weil_op_r(f, r + 1) is the operator O(X_1, ..., X_r, t) of the
+bridge check.  tree_product is the independent check for ranks >= 3:
+it multiplies rank-two operators over the edges of any spanning tree
+as multivariate polynomials and reduces every variable, which gives
+the same normal form for every connected graph.
 The star action [g(t) * O] multiplies by g(X_i) for any slot i and
 renormalizes; the result is slot-independent.
 """
@@ -29,11 +32,8 @@ from .multipoly import MPoly, MPolyRing
 from .polys import UniPoly
 
 
-def op_ring(field, r: int, with_t: bool = False) -> MPolyRing:
-    names = tuple(f"X{i + 1}" for i in range(r))
-    if with_t:
-        names += ("t",)
-    return MPolyRing(field, names)
+def op_ring(field, r: int) -> MPolyRing:
+    return MPolyRing(field, tuple(f"X{i + 1}" for i in range(r)))
 
 
 def dual_map(f: UniPoly, i: int) -> UniPoly:
@@ -45,23 +45,11 @@ def dual_map(f: UniPoly, i: int) -> UniPoly:
     return f // f.ring.gen() ** (i + 1)
 
 
-def weil_op2(f: UniPoly) -> MPoly:
-    """Rank-two operator from the dual-map double sum."""
-    ring = op_ring(f.ring.field, 2)
-    n = int(f.degree)
-    terms = {}
-    for k in range(n):
-        dk = dual_map(f, k)
-        for j, c in enumerate(dk.coeffs):
-            if not c.is_zero():
-                terms[(j, k)] = c
-    return MPoly(ring, terms)
-
-
 def weil_op2_quotient(f: UniPoly) -> MPoly:
     """(f(X2) - f(X1)) / (X2 - X1) by synthetic division in X2.
 
-    Independent of the dual-map construction; the remainder must vanish."""
+    Independent of weil_op_r(f, 2), the dual-map construction; the
+    remainder must vanish."""
     ring = op_ring(f.ring.field, 2)
     n = int(f.degree)
     diff = ring.from_unipoly(f, 1) - ring.from_unipoly(f, 0)
@@ -103,11 +91,6 @@ def weil_op_r(f: UniPoly, r: int) -> MPoly:
             if not c.is_zero():
                 terms[ks + (i,)] = c
     return MPoly(ring, terms)
-
-
-def weil_op_rt(f: UniPoly, r: int) -> MPoly:
-    """The (r+1)-variable operator O(X_1, ..., X_r, t), anchored at t."""
-    return MPoly(op_ring(f.ring.field, r, with_t=True), weil_op_r(f, r + 1).terms)
 
 
 def reduce_mod_star(P: MPoly, f: UniPoly, variables=None) -> MPoly:
@@ -155,7 +138,7 @@ def tree_product(f: UniPoly, r: int, edges) -> MPoly:
         raise NotATree("graph is not connected")
 
     ring = op_ring(f.ring.field, r)
-    o2 = weil_op2(f)
+    o2 = weil_op_r(f, 2)
     prod = ring.one()
     for a, b in edges:
         prod = prod * o2.inject(ring, (a - 1, b - 1))
@@ -225,7 +208,7 @@ def tk_star_closed(f: UniPoly, k: int) -> MPoly:
     For k >= n the raw sums leave the normal-form box and must be
     reduced before comparison."""
     if k == 0:
-        return weil_op2(f)
+        return weil_op_r(f, 2)
     ring = op_ring(f.ring.field, 2)
     n = int(f.degree)
     acc = ring.zero()

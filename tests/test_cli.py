@@ -339,17 +339,21 @@ def test_verify_deterministic_reports(capsys):
 
 # sha256 of the seed-3 reports without "elapsed", from the construction
 # with a separate Moore determinant for generating functions and three
-# rank-two operator builders
+# rank-two operator builders; operators and pairing-axioms from the
+# construction with separate rank-two and t-anchored operator builders
 VERIFY_SEED3_SHA256 = {
     "agf": "1d3b24a17e94b05ab7dc1eef20e206b7cb389850006e3286a94b4f6a20875190",
     "main-theorem": "57a4df80a5b051f465c1b0012cba1bd363e3f1cbc2a2471e11598b33fd78b14c",
     "maurischat-perkins": "fe4406383302eb71e105d519f50470dbbf13ce2f49ec57ea956c139183aab7a2",
+    "operators --cases 10": "d3cfb9dcc6035d0dea625973d056d9db56d46a51460f7ad31a7c68949c3475c8",
+    "pairing-axioms": "8151fdafb9dd12c5efbdba94f475f9ff9ce9216060d0ab5de986f2cd0391b16d",
 }
 
 
 def test_verify_reports_pinned(capsys):
     for suite, expected in VERIFY_SEED3_SHA256.items():
-        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--seed", "3")
+        code, out, _ = run_cli(capsys, "verify", "--suite", *suite.split(),
+                               "--seed", "3")
         assert code == 0
         body = json.loads(out)
         body.pop("elapsed")

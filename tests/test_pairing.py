@@ -12,7 +12,7 @@ from drinfeld_weil import (DrinfeldModule, FracField, MPoly, MPolyRing,
                            main_theorem_check, make_field, moore_det,
                            torsion_basis, weil_pairing)
 from drinfeld_weil.errors import NotTorsion, PoleOnModulus
-from drinfeld_weil.weil_ops import weil_op_r, weil_op_rt
+from drinfeld_weil.weil_ops import weil_op_r
 
 F2 = make_field(2)
 F3 = make_field(3)
@@ -130,12 +130,34 @@ def test_main_theorem_rank2_quadratic():
     assert rep["failures"] == []
 
 
+def test_main_theorem_builds_each_orbit_once(monkeypatch):
+    # the t-slots and the pairing part share one orbit c, phi_x c, ...,
+    # phi_x^(n-1) c per argument: r * (deg f - 1) actions in all
+    import drinfeld_weil.pairing as pairing_mod
+    calls = []
+    real = pairing_mod.phi_apply_qexp
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(pairing_mod, "phi_apply_qexp", counting)
+    Rth = PolyRing(F3, "theta")
+    K = FracField(Rth)
+    theta = K.gen()
+    M = DrinfeldModule(F3, K, theta, [theta, K.one()])
+    f = PolyRing(F3, "x").poly([1, 0, 1])
+    rep = main_theorem_check(M, f, 2, 2)
+    assert rep["failures"] == []
+    assert len(calls) == 2 * (2 - 1)
+
+
 def test_operator_top_slot_matches_lower_rank():
     Rx = PolyRing(F3, "x")
     for coeffs in ([0, 1], [1, 1], [0, 0, 1], [1, 0, 1], [2, 1, 1]):
         f = Rx.poly(coeffs)
         n = int(f.degree)
-        ot = weil_op_rt(f, 2)
+        ot = weil_op_r(f, 3)
         o2 = weil_op_r(f, 2).inject(ot.ring, (0, 1))
         assert ot.coeff_in_var(2, n - 1) == o2
 
@@ -182,16 +204,6 @@ def test_rank_one_pairing_is_identity():
     assert Mx.exterior().g == Mx.g
     for pt in tb.all_points():
         assert weil_pairing(Mx, x, [pt]) == pt
-
-
-def test_t_anchored_operator_matches_plain_construction():
-    Rx = PolyRing(F3, "x")
-    for coeffs in ([0, 1], [1, 0, 1], [2, 1, 1]):
-        f = Rx.poly(coeffs)
-        ot = weil_op_rt(f, 2)
-        plain = weil_op_r(f, 3)
-        assert ot.terms == plain.terms  # same exponents, t in the last slot
-        assert ot.ring.names == ("X1", "X2", "t")
 
 
 def test_pairing_swap_negates_rank2():

@@ -31,20 +31,24 @@ def test_dual_map_top_is_one():
 
 
 def test_weil_op2_examples():
-    assert W.weil_op2(R3.poly([1, 0, 1])).text() == "X1 + X2"
-    assert W.weil_op2(R3.poly([-1, 1])).text() == "1"
+    assert W.weil_op_r(R3.poly([1, 0, 1]), 2).text() == "X1 + X2"
+    assert W.weil_op_r(R3.poly([-1, 1]), 2).text() == "1"
     # f = t^n gives the full homogeneous sum of degree n-1
-    o = W.weil_op2(R2.poly([0, 0, 0, 1]))
+    o = W.weil_op_r(R2.poly([0, 0, 0, 1]), 2)
     assert o.text() == "X1^2 + X1*X2 + X2^2"
 
 
 def test_weil_op2_equals_exact_quotient():
+    # the rank-two operator against the synthetic division, over prime
+    # and non-prime F_q
     rng = random.Random(2)
-    for q, R in ((2, R2), (3, R3)):
+    for F in (F2, F3, make_field(2, 2), make_field(3, 2)):
+        R = PolyRing(F, "t")
+        elems = list(F.elements())
         for _ in range(30):
             d = rng.randrange(1, 7)
-            f = R.poly([rng.randrange(q) for _ in range(d)] + [1])
-            assert W.weil_op2(f) == W.weil_op2_quotient(f)
+            f = R.poly([rng.choice(elems) for _ in range(d)] + [1])
+            assert W.weil_op_r(f, 2) == W.weil_op2_quotient(f)
 
 
 def test_weil_op_r_examples():
@@ -75,7 +79,7 @@ def test_reduce_mod_star_examples():
 
 def test_star_action_examples():
     f = R3.poly([1, 0, 1])
-    o2 = W.weil_op2(f)
+    o2 = W.weil_op_r(f, 2)
     assert W.star_action(R3.one(), f, 2) == o2
     st = W.star_action(R3.gen(), f, 2)
     assert st.text() == "X1*X2 + 2"
@@ -169,7 +173,7 @@ def test_tree_product_examples():
     assert W.tree_product(f, 3, [(1, 3), (2, 3)]) == o3
     assert W.tree_product(f, 3, [(1, 2), (2, 3)]) == o3
     f2 = R3.poly([1, 0, 1])
-    assert W.tree_product(f2, 2, [(1, 2)]) == W.weil_op2(f2)
+    assert W.tree_product(f2, 2, [(1, 2)]) == W.weil_op2_quotient(f2)
     with pytest.raises(NotATree):
         W.tree_product(f, 3, [(1, 2), (1, 2)])
     with pytest.raises(NotATree):
@@ -199,10 +203,7 @@ def test_weil_op_r_matches_star_tree_product(pe, r, d, rnd):
     o = W.weil_op_r(f, r)
     assert o == W.tree_product(f, r, [(j, r) for j in range(1, r)])
     if r == 2:
-        assert o == W.weil_op2(f)
-    ot = W.weil_op_rt(f, r)
-    assert ot.ring == W.op_ring(F, r, with_t=True)
-    assert ot.terms == W.weil_op_r(f, r + 1).terms
+        assert o == W.weil_op2_quotient(f)
 
 
 def test_rank3_closed_examples():
@@ -240,7 +241,7 @@ def test_slot_swap_identity_unreduced():
         for _ in range(20):
             d = rng.randrange(1, 7)
             f = R.poly([rng.randrange(q) for _ in range(d)] + [1])
-            o2 = W.weil_op2(f)
+            o2 = W.weil_op_r(f, 2)
             ring = o2.ring
             lhs = ring.var(0) * o2 - ring.from_unipoly(f, 0)
             rhs = ring.var(1) * o2 - ring.from_unipoly(f, 1)
