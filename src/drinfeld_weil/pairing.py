@@ -13,19 +13,20 @@ the package's one Moore determinant.  It takes concrete torsion points
 q-expansions, truncated generating functions and f-remainders alike:
 a table of each entry's twists, then the signed sum over permutations.
 
-One builder, _orbit, forms the orbit mu, phi_x mu, ..., each point
-from the one before, for field elements and q-expansions alike.  The
-twists of each orbit point the operator reads are formed once, and
-every one of the deg(f)^r operator terms is a signed sum over rows of
-that table.  weil_pairing builds each argument's orbit up to
-phi_x^(deg f) mu once and reads the torsion check off it;
+One table per argument holds its orbit and the orbit's twists: row k
+of _orbit_rows is v, v^q, ..., v^(q^(r-1)) for v = phi_x^k mu, and
+_phi_x_step forms the next point theta v + sum_i g_i v^(q^i) from
+those twists, for field elements and q-expansions alike.  Each orbit
+point is twisted once, and every one of the deg(f)^r operator terms
+is a signed sum over rows of that table.  weil_pairing reads its
+torsion check off the table's first column plus one step;
 diamond_moore shares the same per-term sum.
 
 The main bridge check compares the f-remainder of the Moore
 determinant of r generating functions against the operator side, slot
 by t-slot and monomial by monomial inside the truncation guard band.
 The operator side is weil_op_r(f, r + 1), its last variable read as t,
-and the part-2 pairing is weil_op_r(f, r); both act on one orbit per
+and the part-2 pairing is weil_op_r(f, r); both read one table per
 argument.
 It forms that left side as the Moore determinant of the generating
 functions' remainders in F_q(theta)[t]/(f); the determinant of the
@@ -36,14 +37,12 @@ tate.agf_remainder, is kept as the tests' oracle.
 from __future__ import annotations
 
 import itertools
-from functools import partial
 
 from .errors import NotTorsion, TruncationTooShallow
 from .modules import DrinfeldModule, exp_coeffs
 from .multipoly import MPoly
 from .polys import UniPoly
-from .tate import (QExpansion, agf_mod, band_monomials, mono_str,
-                   phi_apply_qexp, _merge_caps)
+from .tate import QExpansion, agf_mod, band_monomials, mono_str, _merge_caps
 from .weil_ops import weil_op_r
 
 
@@ -84,15 +83,26 @@ def _signed_sum(table):
     return acc
 
 
-def _orbit(M: DrinfeldModule, mu, depth: int):
-    """mu, phi_x mu, ..., phi_x^depth mu, each point from the one before;
-    q-expansions are acted on inside their guard band."""
-    step = (partial(phi_apply_qexp, M, M.x_ring().gen())
-            if isinstance(mu, QExpansion) else M.phi_x().apply)
-    orbit = [mu]
-    for _ in range(depth):
-        orbit.append(step(orbit[-1]))
-    return orbit
+def _orbit_rows(M: DrinfeldModule, mu, count: int, width: int):
+    """Rows k < max(count, 1) of mu's twist table: row k is
+    _twists(phi_x^k mu, q, width), each orbit point formed by
+    _phi_x_step from the row before."""
+    rows = [_twists(mu, M.q, width)]
+    while len(rows) < count:
+        rows.append(_twists(_phi_x_step(M, rows[-1]), M.q, width))
+    return rows
+
+
+def _phi_x_step(M: DrinfeldModule, row):
+    """phi_x v = theta v + sum_i g_i v^(q^i) from the twists row of v,
+    twisting past the row's end only as far as q^rank; a q-expansion
+    is pruned to v's guard band."""
+    twists = row + _twists(row[-1], M.q, M.rank + 2 - len(row))[1:]
+    acc = None
+    for c, w in zip((M.theta,) + M.g, twists):
+        if not c.is_zero():
+            acc = w * c if acc is None else acc + w * c
+    return acc.prune(row[0].caps) if isinstance(acc, QExpansion) else acc
 
 
 def _zero_like(M: DrinfeldModule, mus):
@@ -115,22 +125,19 @@ def diamond_moore(P: MPoly, M: DrinfeldModule, mus):
     r = P.ring.nvars - (1 if has_t else 0)
     if len(mus) != r:
         raise ValueError(f"operator in {r} variables applied to {len(mus)} arguments")
-    orbits = [_orbit(M, mu, P.degree_in(i)) for i, mu in enumerate(mus)]
-    return _diamond_orbits(P, M, orbits, P.degree_in(r) + 1 if has_t else None)
+    tables = [_orbit_rows(M, mu, P.degree_in(i) + 1, r) for i, mu in enumerate(mus)]
+    return _diamond_orbits(P, M, tables, P.degree_in(r) + 1 if has_t else None)
 
 
-def _diamond_orbits(P: MPoly, M: DrinfeldModule, orbits, nt):
-    """diamond_moore from the orbits mu_i, phi_x mu_i, ...: the twists
-    of each orbit point that P reads are formed once, and every term of
-    P is the signed sum over its rows.  nt is the number of t-slots,
-    None without t."""
-    r = len(orbits)
-    twists = [[_twists(v, M.q, r) for v in orbit[:P.degree_in(i) + 1]]
-              for i, orbit in enumerate(orbits)]
-    zero = _zero_like(M, [orbit[0] for orbit in orbits])
+def _diamond_orbits(P: MPoly, M: DrinfeldModule, tables, nt):
+    """diamond_moore from each argument's _orbit_rows table: every term
+    of P is the signed sum over the rows its exponents pick.  nt is the
+    number of t-slots, None without t."""
+    r = len(tables)
+    zero = _zero_like(M, [rows[0][0] for rows in tables])
     out = zero if nt is None else [zero] * nt
     for exps, c in sorted(P.terms.items()):
-        val = _signed_sum([twists[i][exps[i]] for i in range(r)]) * M.embed_scalars(c)
+        val = _signed_sum([tables[i][exps[i]] for i in range(r)]) * M.embed_scalars(c)
         if nt is None:
             out = out + val
         else:
@@ -142,25 +149,26 @@ def weil_pairing(M: DrinfeldModule, f: UniPoly, mus):
     """Pairing value of r f-torsion points; lands in the f-torsion of
     the exterior (rank-one) module.
 
-    Each argument's orbit mu, phi_x mu, ..., phi_x^n mu (n = deg f) is
-    built once.  It gives the torsion check, phi_f mu = sum_k a_k
-    phi_x^k mu for f = sum_k a_k x^k, and the points the operator's
-    terms act on."""
+    Each argument's twist table holds mu, phi_x mu, ..., phi_x^(n-1) mu
+    (n = deg f) and their twists, the points the operator's terms act
+    on.  Its first column and one more step give the torsion check,
+    phi_f mu = sum_k a_k phi_x^k mu for f = sum_k a_k x^k."""
     if len(mus) != M.rank:
         raise ValueError("expected one argument per unit of rank")
     a = [M.embed_scalars(c) for c in f.coeffs]
     one = M.base.one()
-    orbits = []
+    tables = []
     for i, mu in enumerate(mus):
-        orbit = _orbit(M, mu, len(a) - 1)
+        rows = _orbit_rows(M, mu, len(a) - 1, M.rank)
+        orbit = [row[0] for row in rows] + [_phi_x_step(M, rows[-1])]
         phi_f_mu = M.base.zero()
         for ak, v in zip(a, orbit):
             if not ak.is_zero():
                 phi_f_mu = phi_f_mu + (v if ak == one else ak * v)
         if not phi_f_mu.is_zero():
             raise NotTorsion(f"argument {i + 1} is not f-torsion")
-        orbits.append(orbit)
-    return _diamond_orbits(weil_op_r(f, M.rank), M, orbits, None)
+        tables.append(rows)
+    return _diamond_orbits(weil_op_r(f, M.rank), M, tables, None)
 
 
 def main_theorem_check(M: DrinfeldModule, f: UniPoly, r: int, N: int) -> dict:
@@ -187,30 +195,23 @@ def main_theorem_check(M: DrinfeldModule, f: UniPoly, r: int, N: int) -> dict:
     cs = [h.coeffs[n - 1] for h in rems]
 
     # the (r+1)-variable operator, its last variable t (n t-slots), and
-    # the rank-r operator both read phi_x^k c_i for k < n only
-    orbits = [_orbit(M, c, n - 1) for c in cs]
-    rhs_slots = _diamond_orbits(weil_op_r(f, r + 1), M, orbits, n)
-    pair_val = _diamond_orbits(weil_op_r(f, r), M, orbits, None)
+    # the rank-r operator both read rows k < n of one table per argument
+    tables = [_orbit_rows(M, c, n, r) for c in cs]
+    rhs_slots = _diamond_orbits(weil_op_r(f, r + 1), M, tables, n)
+    pair_val = _diamond_orbits(weil_op_r(f, r), M, tables, None)
 
     failures = []
     checked = 0
-    for i in range(n):
-        caps = _merge_caps(lhs_slots[i].caps, rhs_slots[i].caps)
-        band = list(band_monomials(caps))
+    checks = [(1, i, rhs_slots[i]) for i in range(n)] + [(2, n - 1, pair_val)]
+    for part, slot, rhs in checks:
+        band = list(band_monomials(_merge_caps(lhs_slots[slot].caps, rhs.caps)))
         if not band:
             raise TruncationTooShallow("empty guard band; increase N")
         for m in band:
             checked += 1
-            a, b = lhs_slots[i].coeff(m), rhs_slots[i].coeff(m)
+            a, b = lhs_slots[slot].coeff(m), rhs.coeff(m)
             if a != b:
-                failures.append({"part": 1, "slot": i, "monomial": mono_str(m),
+                failures.append({"part": part, "slot": slot, "monomial": mono_str(m),
                                  "lhs": str(a), "rhs": str(b)})
-    caps2 = _merge_caps(lhs_slots[n - 1].caps, pair_val.caps)
-    for m in band_monomials(caps2):
-        checked += 1
-        a, b = lhs_slots[n - 1].coeff(m), pair_val.coeff(m)
-        if a != b:
-            failures.append({"part": 2, "slot": n - 1, "monomial": mono_str(m),
-                             "lhs": str(a), "rhs": str(b)})
     return {"rank": r, "modulus": str(f), "depth": N,
             "monomials_checked": checked, "failures": failures}

@@ -286,10 +286,6 @@ class UniPoly:
             out.append(self._c[m] * math.comb(m, l))
         return self.ring.poly(out)
 
-    def map_coeffs(self, fn, ring=None):
-        ring = ring or self.ring
-        return ring.poly([fn(c) for c in self.coeffs])
-
     def __eq__(self, other):
         # no coercion: equal polynomials must hash equal
         if not isinstance(other, UniPoly):

@@ -19,10 +19,11 @@ Every value's denominator is a product of factors (theta^{q^j} - t).
 Truncation is tracked per symbol: caps[Z] = N means every coefficient
 involving Z^{q^k} with k <= N is exact (structural zeros included).
 Sums, products and twists keep every monomial they form, including
-those above a cap; only prune (and phi_apply_qexp, which prunes) drops
-them, and comparisons only assert equality inside the shared guard
-band.  A series is twisted by .frobenius(k); the Moore determinant of
-series is pairing.moore_det, the same one that serves field elements.
+those above a cap; only prune (and the phi_x step of pairing, which
+prunes) drops them, and comparisons only assert equality inside the
+shared guard band.  A series is twisted by .frobenius(k); the Moore
+determinant of series is pairing.moore_det, the same one that serves
+field elements.
 """
 
 from __future__ import annotations
@@ -348,8 +349,8 @@ class TruncAGF(_SymSeries):
 
     def _frob_value(self, v, k):
         qk = self.q ** k
-        num = v.num.map_coeffs(lambda c: c ** qk)
-        den = v.den.map_coeffs(lambda c: c ** qk)
+        num = lift_poly(v.num, v.num.ring, lambda c: c ** qk)
+        den = lift_poly(v.den, v.den.ring, lambda c: c ** qk)
         return RatFunc(v.field, num, den)
 
 
@@ -409,17 +410,6 @@ def exp_qexp(M: DrinfeldModule, c, sym: str, N: int, ec: ExpCoeffs | None = None
         if not v.is_zero():
             terms[((sym, i),)] = v
     return QExpansion(M.base, M.q, terms, {sym: N})
-
-
-def phi_apply_qexp(M: DrinfeldModule, a, qe: QExpansion) -> QExpansion:
-    """Drinfeld action of a(x) on a q-expansion, pruned to its guard band."""
-    tw = M.phi_of(a)
-    acc = QExpansion(qe.vfield, qe.q, {}, dict(qe.caps))
-    for i, c in enumerate(tw.coeffs):
-        if c.is_zero():
-            continue
-        acc = acc + qe.frobenius(i) * c
-    return acc.prune(_merge_caps(acc.caps, qe.caps))
 
 
 def agf_remainder(w: TruncAGF, f: UniPoly):

@@ -112,9 +112,7 @@ class TwistedPoly:
                 continue
             term = c * twist
             acc = term if acc is None else acc + term
-        if acc is None:
-            return self.field.zero() if not hasattr(mu, "field") else mu - mu
-        return acc
+        return self.field.zero() if acc is None else acc
 
     def __eq__(self, other):
         return (isinstance(other, TwistedPoly) and self.field == other.field

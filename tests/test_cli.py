@@ -340,13 +340,17 @@ def test_verify_deterministic_reports(capsys):
 # sha256 of the seed-3 reports without "elapsed", from the construction
 # with a separate Moore determinant for generating functions and three
 # rank-two operator builders; operators and pairing-axioms from the
-# construction with separate rank-two and t-anchored operator builders
+# construction with separate rank-two and t-anchored operator builders;
+# residues and remainders from the construction with a separate q-expansion
+# action phi_apply_qexp and a second twist pass over each orbit
 VERIFY_SEED3_SHA256 = {
     "agf": "1d3b24a17e94b05ab7dc1eef20e206b7cb389850006e3286a94b4f6a20875190",
     "main-theorem": "57a4df80a5b051f465c1b0012cba1bd363e3f1cbc2a2471e11598b33fd78b14c",
     "maurischat-perkins": "fe4406383302eb71e105d519f50470dbbf13ce2f49ec57ea956c139183aab7a2",
     "operators --cases 10": "d3cfb9dcc6035d0dea625973d056d9db56d46a51460f7ad31a7c68949c3475c8",
     "pairing-axioms": "8151fdafb9dd12c5efbdba94f475f9ff9ce9216060d0ab5de986f2cd0391b16d",
+    "remainders --cases 5": "a9e32b05eec012b0fe75ca68737b452a1a84cbc49d44cdc9ddf923994ee88215",
+    "residues --cases 5": "42235afefa7580cef32aa8abe07eb50122e83d1a0261f6d40a52104a7d035393",
 }
 
 

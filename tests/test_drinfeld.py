@@ -79,6 +79,7 @@ def test_phi_apply_carlitz():
     for mu in F4.elements():
         assert M.phi_of(x).apply(mu) == theta * mu + mu * mu
         assert M.phi_of(M.x_ring().one()).apply(mu) == mu
+        assert M.phi_of(M.x_ring().zero()).apply(mu) == F4.zero()
 
 
 def test_torsion_carlitz_f4():

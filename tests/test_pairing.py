@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from drinfeld_weil import (DrinfeldModule, FracField, MPoly, MPolyRing,
                            PolyRing, agf, agf_mod, agf_remainder,
-                           diamond_moore, embed, exp_coeffs,
+                           diamond_moore, embed, exp_coeffs, exp_qexp,
                            main_theorem_check, make_field, moore_det,
                            torsion_basis, weil_pairing)
 from drinfeld_weil.errors import NotTorsion, PoleOnModulus
@@ -132,16 +132,16 @@ def test_main_theorem_rank2_quadratic():
 
 def test_main_theorem_builds_each_orbit_once(monkeypatch):
     # the t-slots and the pairing part share one orbit c, phi_x c, ...,
-    # phi_x^(n-1) c per argument: r * (deg f - 1) actions in all
+    # phi_x^(n-1) c per argument: r * (deg f - 1) phi_x steps in all
     import drinfeld_weil.pairing as pairing_mod
     calls = []
-    real = pairing_mod.phi_apply_qexp
+    real = pairing_mod._phi_x_step
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(pairing_mod, "phi_apply_qexp", counting)
+    monkeypatch.setattr(pairing_mod, "_phi_x_step", counting)
     Rth = PolyRing(F3, "theta")
     K = FracField(Rth)
     theta = K.gen()
@@ -150,6 +150,96 @@ def test_main_theorem_builds_each_orbit_once(monkeypatch):
     rep = main_theorem_check(M, f, 2, 2)
     assert rep["failures"] == []
     assert len(calls) == 2 * (2 - 1)
+
+
+@pytest.mark.parametrize("gs, N, expected", [
+    (((0, 1), (1,)), 2, 10),       # rank 2, g = (theta, 1)
+    (((1,), (), (1,)), 1, 27),     # rank 3, g = (1, 0, 1)
+])
+def test_main_theorem_twists_each_orbit_point_once(monkeypatch, gs, N, expected):
+    # f = x^2 + 1 over F_3(theta), r = rank, n = 2: each of the r
+    # arguments has n rows of r - 1 twists and n - 1 phi_x steps, each
+    # twisting once past its row; the Moore determinant of the r
+    # remainders twists n slots r - 1 times each
+    from drinfeld_weil.tate import _SymSeries
+    M = _bridge_module(3, gs)
+    r, n = M.rank, 2
+    assert r * (n * (r - 1) + n - 1) + r * (r - 1) * n == expected
+    calls = []
+    real = _SymSeries.frobenius
+
+    def counting(self, k):
+        calls.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(_SymSeries, "frobenius", counting)
+    rep = main_theorem_check(M, PolyRing(M.q_field, "x").poly([1, 0, 1]), r, N)
+    monkeypatch.undo()
+    assert rep["failures"] == []
+    assert len(calls) == expected
+
+
+def phi_apply_qexp_oracle(M, qe):
+    """phi_x on a q-expansion as sum_i qe.frobenius(i) * c_i over the
+    coefficients c_i of phi_x, pruned to qe's guard band."""
+    acc = None
+    for i, c in enumerate((M.theta,) + M.g):
+        if not c.is_zero():
+            term = qe.frobenius(i) * c
+            acc = term if acc is None else acc + term
+    return acc.prune(qe.caps)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("gs", [((1,),), ((0, 1), (1,)), ((1,), (), (1,)),
+                                ((1, 1), (0, 1), (1,))])
+def test_phi_x_step_on_qexpansions_matches_oracle(q, gs):
+    from drinfeld_weil.pairing import _orbit_rows, _phi_x_step, _twists
+    M = _bridge_module(q, gs)
+    K = M.base
+    ec = exp_coeffs(M, 2)
+    fx = PolyRing(M.q_field, "x").poly([1, 0, 1])
+    seeds = [exp_qexp(M, K.gen() + K.one(), "Z", 2, ec),
+             agf_mod(M, fx, "Z1", 2, ec).coeffs[0],
+             moore_det([agf_mod(M, fx, s, 1, ec).coeffs[1] for s in ("Z1", "Z2")], q)]
+    for qe in seeds:
+        for width in range(1, M.rank + 2):
+            got = _phi_x_step(M, _twists(qe, q, width))
+            want = phi_apply_qexp_oracle(M, qe)
+            assert (got.terms, got.caps) == (want.terms, want.caps)
+        rows = _orbit_rows(M, qe, 2, M.rank)
+        v = qe
+        for row in rows:
+            assert [(w.terms, w.caps) for w in row] == \
+                [(w.terms, w.caps) for w in _twists(v, q, M.rank)]
+            v = phi_apply_qexp_oracle(M, v)
+
+
+ORBIT_MODULES = [(2, 4, (1, 1)), (2, 4, (1, 0, 1)), (3, 3, (1, 0, 1)),
+                 (3, 2, (2, 1)), (5, 2, (1, 0, 1)), (5, 2, (3,))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ORBIT_MODULES), st.integers(1, 4), st.integers(1, 4),
+       st.data())
+def test_orbit_rows_match_iterated_phi_x(case, count, width, data):
+    # field elements: row k is the twists of phi_x^k mu, one step past
+    # the last row gives phi_x^count mu, as iterated TwistedPoly.apply
+    from drinfeld_weil.pairing import _orbit_rows, _phi_x_step
+    q, m, g = case
+    qf = make_field(q)
+    base = make_field(q, m)
+    emb = embed(qf, base)
+    M = DrinfeldModule(qf, base, base.gen(), [emb(qf.elem(c)) for c in g], emb)
+    mu = base.elem(data.draw(st.lists(st.integers(0, base.p - 1),
+                                      min_size=m, max_size=m)))
+    rows = _orbit_rows(M, mu, count, width)
+    assert len(rows) == count
+    v = mu
+    for row in rows:
+        assert row == [v ** (q ** j) for j in range(width)]
+        v = M.phi_x().apply(v)
+    assert _phi_x_step(M, rows[-1]) == v
 
 
 def test_operator_top_slot_matches_lower_rank():
@@ -476,9 +566,10 @@ def test_first_non_torsion_argument_is_named():
 
 
 def test_weil_pairing_cost_guard(monkeypatch):
-    # one pairing on GF(2^12), rank r = 2, f = x^3 (n = 3): r * n orbit
-    # steps with r twists each, plus the r - 1 table twists of the n
-    # orbit points the operator reads, and no twisted products
+    # one pairing on GF(2^12), rank r = 2, f = x^3 (n = 3): each
+    # argument's n table rows take r - 1 twists and each of its n phi_x
+    # steps one more, r * r * n field powers in all, and no twisted
+    # products
     from drinfeld_weil.fields import FieldElem
     from drinfeld_weil.twisted import TwistedPoly
     fx, tb = pairing_case(0)
@@ -499,5 +590,5 @@ def test_weil_pairing_cost_guard(monkeypatch):
     value = weil_pairing(Mx, fx, mus)
     monkeypatch.undo()
     assert counts["tmul"] == 0
-    assert counts["pow"] <= r * n * (2 * r - 1)
+    assert counts["pow"] == r * r * n == 12
     assert value == weil_pairing_per_term(Mx, fx, mus)

@@ -86,8 +86,8 @@ def test_theta_pole_remainder_closed_form():
 
 def twist_kt(w):
     """Raise the F_3(theta) coefficients of w in K(t) to the cube; t fixed."""
-    return KT.frac(w.num.map_coeffs(lambda c: c ** 3),
-                   w.den.map_coeffs(lambda c: c ** 3))
+    return KT.frac(lift_poly(w.num, RtK, lambda c: c ** 3),
+                   lift_poly(w.den, RtK, lambda c: c ** 3))
 
 
 K_ELEMS = st.lists(st.integers(0, 2), max_size=3).map(K.frac)
