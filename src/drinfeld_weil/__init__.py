@@ -6,7 +6,7 @@ from .errors import (BadCharacteristic, NotATree, NotInvertibleModF,
                      TruncationTooShallow)
 from .fields import FieldElem, FiniteField, embed, make_field
 from .modules import (DrinfeldModule, ExpCoeffs, TorsionBasis, exp_coeffs,
-                      torsion_basis)
+                      exp_numerators, torsion_basis)
 from .multipoly import MPoly, MPolyRing
 from .pairing import diamond_moore, main_theorem_check, moore_det, weil_pairing
 from .polys import (FracField, PolyRing, RatFunc, UniPoly, inv_mod,

@@ -14,10 +14,19 @@ e.g. when g_1 = 0) with e_0 = 1 and
     e_i (theta^{q^i} - theta) = sum_{j=1}^{min(i,r)} g_j e_{i-j}^{q^j},
 
 obtained by matching z^{q^i} coefficients in phi_x(exp(z)) = exp(theta z).
+When theta generates F_q(theta) and every g_j is in F_q[theta], the
+numerators E_i = D_i e_i are polynomials, D_i = prod_{l=1}^{i}
+[l]^{q^{i-l}} the Carlitz denominators with [l] = theta^{q^l} - theta,
+and exp_numerators forms them with no division:
+
+    E_i = sum_{j=1}^{min(i,r)} g_j E_{i-j}^{q^j} prod_{l=i-j+1}^{i-1} [l]^{q^{i-l}}.
+
+exp_coeffs, which divides, is the tests' oracle for them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -114,6 +123,50 @@ def exp_coeffs(M: DrinfeldModule, N: int) -> ExpCoeffs:
             rhs = rhs + M.g[j - 1] * e[i - j] ** (q ** j)
         e.append(rhs / (theta ** (q ** i) - theta))
     return ExpCoeffs(M, tuple(e))
+
+
+def _check_polynomial_module(M: DrinfeldModule):
+    """ValueError unless M is over F_q(theta) with theta its generator
+    and every g_j in F_q[theta], the setting of exp_numerators."""
+    K = M.base
+    if not isinstance(K, FracField):
+        raise ValueError("exponential numerators need the F_q(theta) base")
+    if M.theta != K.gen():
+        raise ValueError(f"exponential numerators need theta = {K.ring.var}, not {M.theta}")
+    for j, gj in enumerate(M.g, 1):
+        if gj.den != K.ring.one():
+            raise ValueError(f"exponential numerators need g_{j} = {gj} in F_q[{K.ring.var}]")
+
+
+@functools.lru_cache(maxsize=None)
+def _twist_factor(ring: PolyRing, q: int, e: int, k: int) -> UniPoly:
+    """D_{e+k} / D_e^{q^k} = prod_{l=e+1}^{e+k} [l]^{q^{e+k-l}} in ring =
+    F_q[theta], each factor the binomial theta^{q^{l+j}} - theta^{q^j};
+    _twist_factor(ring, q, 0, e) is D_e."""
+    acc = ring.one()
+    for l in range(e + 1, e + k + 1):
+        j = e + k - l
+        coeffs = [0] * (q ** (l + j) + 1)
+        coeffs[q ** j], coeffs[-1] = -1, 1
+        acc = ring.poly(coeffs) * acc
+    return acc
+
+
+def exp_numerators(M: DrinfeldModule, N: int) -> tuple:
+    """E_0..E_N with E_i = D_i e_i in F_q[theta], from the division-free
+    recursion of the module docstring; ValueError outside its setting."""
+    _check_polynomial_module(M)
+    ring, q = M.base.ring, M.q
+    g = [gj.num for gj in M.g]
+    E = [ring.one()]
+    for i in range(1, N + 1):
+        acc = ring.zero()
+        for j in range(1, min(i, M.rank) + 1):
+            if not (g[j - 1].is_zero() or E[i - j].is_zero()):
+                bracket = _twist_factor(ring, q, i - j, j - 1).spread(q)
+                acc = acc + bracket * g[j - 1] * E[i - j].spread(q ** j)
+        E.append(acc)
+    return tuple(E)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,12 @@ argument.
 It forms that left side as the Moore determinant of the generating
 functions' remainders in F_q(theta)[t]/(f); the determinant of the
 generating functions themselves, with values in K(t), followed by
-tate.agf_remainder, is kept as the tests' oracle.
+tate.agf_remainder, is kept as the tests' oracle.  Both sides hold
+q-expansion numerators over the same den(m) (tate's module docstring),
+so they are compared numerator against numerator, and the bridge takes
+no gcd; a reported failure shows the values, divided by den(m).  The
+numerators need theta = K.gen() and every g_i in F_q[theta]; any other
+module gets a one-line ValueError.
 """
 
 from __future__ import annotations
@@ -39,10 +44,10 @@ from __future__ import annotations
 import itertools
 
 from .errors import NotTorsion, TruncationTooShallow
-from .modules import DrinfeldModule, exp_coeffs
+from .modules import DrinfeldModule, exp_numerators
 from .multipoly import MPoly
 from .polys import UniPoly
-from .tate import QExpansion, agf_mod, band_monomials, mono_str, _merge_caps
+from .tate import QExpansion, agf_mod, band_monomials, mono_str, theta_poly, _merge_caps
 from .weil_ops import weil_op_r
 
 
@@ -107,10 +112,11 @@ def _phi_x_step(M: DrinfeldModule, row):
 
 def _zero_like(M: DrinfeldModule, mus):
     if isinstance(mus[0], QExpansion):
-        caps = {}
+        caps, poles = {}, {}
         for mu in mus:
             caps = _merge_caps(caps, mu.caps)
-        return QExpansion(mus[0].vfield, mus[0].q, {}, caps)
+            poles.update(mu.poles)
+        return QExpansion(mus[0].vfield, mus[0].q, {}, caps, poles)
     return M.base.zero()
 
 
@@ -188,9 +194,10 @@ def main_theorem_check(M: DrinfeldModule, f: UniPoly, r: int, N: int) -> dict:
     is the truncated exp(Z/f(theta)), the right side's input."""
     if r != M.rank:
         raise ValueError("rank mismatch between module and request")
-    ec = exp_coeffs(M, N)
+    theta_poly(M, f)  # a pole on f first, then the module's setting
+    E = exp_numerators(M, N)
     n = int(f.degree)
-    rems = [agf_mod(M, f, f"Z{i + 1}", N, ec) for i in range(r)]
+    rems = [agf_mod(M, f, f"Z{i + 1}", N, E) for i in range(r)]
     lhs_slots = moore_det(rems, M.q).coeffs
     cs = [h.coeffs[n - 1] for h in rems]
 
@@ -204,14 +211,16 @@ def main_theorem_check(M: DrinfeldModule, f: UniPoly, r: int, N: int) -> dict:
     checked = 0
     checks = [(1, i, rhs_slots[i]) for i in range(n)] + [(2, n - 1, pair_val)]
     for part, slot, rhs in checks:
-        band = list(band_monomials(_merge_caps(lhs_slots[slot].caps, rhs.caps)))
+        lhs = lhs_slots[slot]
+        band = list(band_monomials(_merge_caps(lhs.caps, rhs.caps)))
         if not band:
             raise TruncationTooShallow("empty guard band; increase N")
+        if lhs.poles != rhs.poles:
+            raise AssertionError("the two sides hold numerators over different poles")
         for m in band:
             checked += 1
-            a, b = lhs_slots[slot].coeff(m), rhs.coeff(m)
-            if a != b:
+            if lhs.terms.get(m) != rhs.terms.get(m):
                 failures.append({"part": part, "slot": slot, "monomial": mono_str(m),
-                                 "lhs": str(a), "rhs": str(b)})
+                                 "lhs": str(lhs.coeff(m)), "rhs": str(rhs.coeff(m))})
     return {"rank": r, "modulus": str(f), "depth": N,
             "monomials_checked": checked, "failures": failures}

@@ -274,6 +274,20 @@ class UniPoly:
         """Compose with (var + c)."""
         return self(self.ring.gen() + self.ring.constant(c))
 
+    def spread(self, m: int):
+        """Compose with var^m: the coefficient of var^i moves to var^(i*m).
+        Over F_q and m a power of q this is the m-th power."""
+        c = self._c
+        if m == 1 or len(c) < 2:
+            return self
+        out = [0 if self.ring.p is not None else self.ring.field.zero()] * ((len(c) - 1) * m + 1)
+        out[::m] = c
+        return UniPoly(self.ring, tuple(out))
+
+    def quo_var_power(self, k: int):
+        """Quotient by var^k: the coefficients from var^k up, shifted down."""
+        return UniPoly(self.ring, self._c[k:])
+
     def hasse_deriv(self, l: int):
         """l-th Hasse-Schmidt derivative: t^m -> C(m, l) t^(m-l).
 
@@ -394,7 +408,8 @@ class RatFunc:
             if num.is_zero():
                 den = field.ring.one()
             else:
-                g = poly_gcd(num, den)
+                # a constant denominator is prime to num
+                g = poly_gcd(num, den) if den.degree > 0 else den
                 if g.degree > 0:
                     num = num // g
                     den = den // g

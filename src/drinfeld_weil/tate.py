@@ -12,6 +12,23 @@ the main bridge takes its Moore determinant there.  agf followed by
 agf_remainder, through K(t) values, is the independent route the tests
 compare against.
 
+A q-expansion over F_q(theta) holds numerators.  With theta the
+generator and every g_j in F_q[theta], the coefficient of a monomial
+m = prod_s Z_s^{q^{e_s}} lies in den(m)^{-1} F_q[theta], where
+
+    den(m) = prod_s D_{e_s} pole_s^{q^{e_s}},
+
+D_e = prod_{l=1}^{e} [l]^{q^{e-l}} the Carlitz denominators, [l] =
+theta^{q^l} - theta, and pole_s one polynomial per symbol: f(theta) for
+a generating function's f-remainder, the denominator of c in
+exp_qexp(M, c).  den depends only on the monomial and is multiplicative
+in it, so sums and products of q-expansions add and multiply
+numerators, and a twist by q^k spreads a numerator, n(theta)^{q^k} =
+n(theta^{q^k}), and multiplies it by D_{e+k}/D_e^{q^k} for each
+exponent e.  No step divides; coeff divides by den(m) on read.
+agf_mod and exp_qexp form numerators from modules.exp_numerators;
+agf_remainder forms them from K(t) values, multiplying by den(m).
+
 A truncated generating function is a finitely supported map from
 q-power monomials in formal symbols (Z^{q^i}, products such as
 Z1^{q^a} Z2^{q^b}, possibly with repeats) to rational functions in t.
@@ -33,7 +50,8 @@ from dataclasses import dataclass
 
 from .errors import PoleOnModulus
 from .fields import embed, make_field
-from .modules import DrinfeldModule, ExpCoeffs, exp_coeffs
+from .modules import (DrinfeldModule, ExpCoeffs, _check_polynomial_module,
+                      _twist_factor, exp_coeffs, exp_numerators)
 from .multipoly import MPoly, MPolyRing
 from .polys import FracField, PolyRing, RatFunc, UniPoly, inv_mod, lift_poly, poly_gcd
 from .series import _series_div
@@ -243,7 +261,7 @@ class _SymSeries:
         self.terms = {m: v for m, v in terms.items() if not v.is_zero()}
         self.caps = caps
 
-    def _make(self, terms, caps):
+    def _make(self, terms, caps, other=None):
         return type(self)(self.vfield, self.q, terms, caps)
 
     def is_zero(self):
@@ -264,7 +282,7 @@ class _SymSeries:
                 out.pop(m, None)
             else:
                 out[m] = sv
-        return self._make(out, _merge_caps(self.caps, other.caps))
+        return self._make(out, _merge_caps(self.caps, other.caps), other)
 
     def __neg__(self):
         return self._make({m: -v for m, v in self.terms.items()}, dict(self.caps))
@@ -285,7 +303,7 @@ class _SymSeries:
                         out.pop(m, None)
                     else:
                         out[m] = sv
-            return self._make(out, _merge_caps(self.caps, other.caps))
+            return self._make(out, _merge_caps(self.caps, other.caps), other)
         # scalar from the value field (or coercible into it)
         c = self._scalar(other)
         if c.is_zero():
@@ -298,7 +316,7 @@ class _SymSeries:
         """Raise coefficients to the q^k power and shift every exponent."""
         if k == 0:
             return self
-        out = {mono_shift(m, k): self._frob_value(v, k) for m, v in self.terms.items()}
+        out = {mono_shift(m, k): self._frob_value(m, v, k) for m, v in self.terms.items()}
         caps = {sym: cap + k for sym, cap in self.caps.items()}
         return self._make(out, caps)
 
@@ -324,18 +342,80 @@ class _SymSeries:
         return hash((self.q, frozenset(self.terms.items())))
 
     def __repr__(self):
-        inner = " + ".join(f"({v})*{mono_str(m)}" for m, v in sorted(self.terms.items()))
+        inner = " + ".join(f"({self.coeff(m)})*{mono_str(m)}" for m in sorted(self.terms))
         return f"{type(self).__name__}({inner or '0'})"
 
 
+def _den(ring, q, poles, mono):
+    """den(m) = prod_s D_{e_s} pole_s^{q^{e_s}} in ring = F_q[theta]."""
+    acc = ring.one()
+    for sym, e in mono:
+        acc = _twist_factor(ring, q, 0, e) * poles[sym].spread(q ** e) * acc
+    return acc
+
+
 class QExpansion(_SymSeries):
-    """Finitely supported q-expansion with coefficients in F_q(theta)."""
+    """Finitely supported q-expansion with coefficients in F_q(theta),
+    held as numerators: the coefficient of m is terms[m] / den(m), with
+    terms[m] in F_q[theta] and den(m) fixed by m and the per-symbol
+    poles (see the module docstring).  Scalars are polynomials in theta."""
+
+    __slots__ = ("poles",)
+
+    def __init__(self, vfield, q, terms, caps, poles):
+        super().__init__(vfield, q, terms, caps)
+        self.poles = poles
+
+    @classmethod
+    def from_values(cls, vfield, q, values, caps, poles):
+        """The q-expansion with coefficient values[m] in F_q(theta) at m:
+        each numerator is values[m] * den(m), and a ValueError names the
+        first monomial where that is not a polynomial."""
+        one = vfield.ring.one()
+        terms = {}
+        for m, v in values.items():
+            n = v * _den(vfield.ring, q, poles, m)
+            if n.den != one:
+                raise ValueError(f"coefficient of {mono_str(m)} has a pole off den(m)")
+            terms[m] = n.num
+        return cls(vfield, q, terms, caps, poles)
+
+    def _make(self, terms, caps, other=None):
+        poles = self.poles
+        if other is not None and other.poles is not poles and other.poles != poles:
+            poles = dict(poles)
+            for sym, pole in other.poles.items():
+                if poles.setdefault(sym, pole) != pole:
+                    raise ValueError(f"q-expansions with different poles at {sym}")
+        return QExpansion(self.vfield, self.q, terms, caps, poles)
 
     def _scalar(self, c):
-        return self.vfield.coerce(c)
+        if isinstance(c, UniPoly):
+            return c
+        c = self.vfield.coerce(c)
+        if c.den != self.vfield.ring.one():
+            raise ValueError(f"q-expansion scalar {c} is not a polynomial")
+        return c.num
 
-    def _frob_value(self, v, k):
-        return v ** (self.q ** k)
+    def _frob_value(self, m, v, k):
+        ring, q = self.vfield.ring, self.q
+        v = v.spread(q ** k)
+        for _, e in m:
+            v = _twist_factor(ring, q, e, k) * v
+        return v
+
+    def den(self, mono):
+        return _den(self.vfield.ring, self.q, self.poles, mono)
+
+    def coeff(self, mono):
+        m = tuple(sorted(mono))
+        v = self.terms.get(m)
+        return self.vfield.zero() if v is None else self.vfield.frac(v, self.den(m))
+
+    def __eq__(self, other):
+        return super().__eq__(other) and self.poles == other.poles
+
+    __hash__ = _SymSeries.__hash__
 
 
 class TruncAGF(_SymSeries):
@@ -347,7 +427,7 @@ class TruncAGF(_SymSeries):
             return self.vfield.coerce(self.vfield.ring.constant(c))
         return self.vfield.coerce(c)
 
-    def _frob_value(self, v, k):
+    def _frob_value(self, m, v, k):
         qk = self.q ** k
         num = lift_poly(v.num, v.num.ring, lambda c: c ** qk)
         den = lift_poly(v.den, v.den.ring, lambda c: c ** qk)
@@ -383,40 +463,64 @@ def eval_at_theta(M: DrinfeldModule, f: UniPoly):
     return acc
 
 
-def agf_mod(M: DrinfeldModule, f: UniPoly, sym: str, N: int,
-            ec: ExpCoeffs | None = None) -> RemainderPoly:
+def theta_poly(M: DrinfeldModule, f: UniPoly) -> UniPoly:
+    """f(theta) in F_q[theta], the pole of agf_mod's numerators.
+    PoleOnModulus when theta is a root of f; otherwise a ValueError
+    unless theta generates F_q(theta) and every g_j is in F_q[theta]."""
+    try:
+        _check_polynomial_module(M)
+    except ValueError:
+        if eval_at_theta(M, f).is_zero():
+            raise PoleOnModulus(f"theta is a root of {f}") from None
+        raise
+    return lift_poly(f, M.base.ring)
+
+
+def _exp_series(M: DrinfeldModule, num: UniPoly, pole: UniPoly, sym: str, N: int,
+                E) -> QExpansion:
+    """exp_phi(num/pole * Z) to depth N: the numerator of Z^{q^i} is
+    E_i num^{q^i}, over den(Z^{q^i}) = D_i pole^{q^i}."""
+    E = E or exp_numerators(M, N)
+    if len(E) <= N:
+        raise ValueError("exponential data shallower than requested depth")
+    q = M.q
+    terms = {((sym, i),): num.spread(q ** i) * E[i] for i in range(N + 1)}
+    return QExpansion(M.base, q, terms, {sym: N}, {sym: pole})
+
+
+def agf_mod(M: DrinfeldModule, f: UniPoly, sym: str, N: int, E=None) -> RemainderPoly:
     """f-remainder of agf(M, sym, N) in closed form, with no K(t) values.
 
     1/(c - t) = O_f^(2)(t, c)/f(c) mod f, so the t^k-coefficient of the
     remainder is sum_i e_i b_k(theta^{q^i})/f(theta^{q^i}) Z^{q^i} with
-    b_k = D_f(t^k), i.e. exp_qexp(M, b_k(theta)/f(theta), sym, N).  As
-    f(theta^{q^i}) = f(theta)^{q^i}, one test covers every pole."""
-    ec = ec or exp_coeffs(M, N)
-    f_theta = eval_at_theta(M, f)
-    if f_theta.is_zero():
-        raise PoleOnModulus(f"theta is a root of {f}")
+    b_k = D_f(t^k), i.e. exp_phi(b_k(theta)/f(theta) * Z): every slot's
+    pole is f(theta).  E is exp_numerators(M, N) or longer."""
+    f_theta = theta_poly(M, f)
+    E = E or exp_numerators(M, N)
+    ring = M.base.ring
     return RemainderPoly(f, tuple(
-        exp_qexp(M, eval_at_theta(M, dual_map(f, k)) / f_theta, sym, N, ec)
+        _exp_series(M, lift_poly(dual_map(f, k), ring), f_theta, sym, N, E)
         for k in range(int(f.degree))))
 
 
-def exp_qexp(M: DrinfeldModule, c, sym: str, N: int, ec: ExpCoeffs | None = None) -> QExpansion:
+def exp_qexp(M: DrinfeldModule, c, sym: str, N: int, E=None) -> QExpansion:
     """Truncated exp_phi(c * Z) = sum_{i<=N} e_i c^{q^i} Z^{q^i}, computed
-    directly from the exponential data (no truncation loss)."""
-    ec = ec or exp_coeffs(M, N)
-    terms = {}
-    for i in range(N + 1):
-        v = ec.e[i] * c ** (M.q ** i)
-        if not v.is_zero():
-            terms[((sym, i),)] = v
-    return QExpansion(M.base, M.q, terms, {sym: N})
+    directly from the exponential numerators (no truncation loss); its
+    pole is c's denominator."""
+    c = M.base.coerce(c)
+    return _exp_series(M, c.num, c.den, sym, N, E)
 
 
-def agf_remainder(w: TruncAGF, f: UniPoly):
+def agf_remainder(w: TruncAGF, f: UniPoly, pole: UniPoly | None = None):
     """f-remainder of a truncated generating function: a list of deg f
-    q-expansions (the coefficients of t^0 ... t^{n-1})."""
+    q-expansions (the coefficients of t^0 ... t^{n-1}).  Every symbol's
+    pole is f(theta), or pole where the poles have higher order: p(theta)
+    ^(l+1) for the l-th Hasse-Schmidt derivative of a generating
+    function reduced mod p."""
     n = int(f.degree)
     K = w.vfield.ring.field
+    if pole is None:
+        pole = lift_poly(f, K.ring)
     slots = [dict() for _ in range(n)]
     for m, v in w.terms.items():
         rem = ev_remainder(v, f)
@@ -424,7 +528,8 @@ def agf_remainder(w: TruncAGF, f: UniPoly):
             c = rem.coeffs[i]
             if not c.is_zero():
                 slots[i][m] = c
-    return [QExpansion(K, w.q, slot, dict(w.caps)) for slot in slots]
+    poles = {sym: pole for sym in w.caps}
+    return [QExpansion.from_values(K, w.q, slot, dict(w.caps), poles) for slot in slots]
 
 
 def mp_coeffs(p: UniPoly, l: int):

@@ -42,7 +42,7 @@ def dual_map(f: UniPoly, i: int) -> UniPoly:
     if not 0 <= i < n:
         raise ValueError(f"index {i} out of range for deg f = {n}")
     # the quotient by t^(i+1) drops a_0, ..., a_i
-    return f // f.ring.gen() ** (i + 1)
+    return f.quo_var_power(i + 1)
 
 
 def weil_op2_quotient(f: UniPoly) -> MPoly:

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from drinfeld_weil import (DrinfeldModule, FracField, MPoly, MPolyRing,
-                           PolyRing, agf, agf_mod, agf_remainder,
-                           diamond_moore, embed, exp_coeffs, exp_qexp,
+                           PolyRing, agf, agf_mod, agf_remainder, ev_remainder,
+                           diamond_moore, embed, exp_coeffs, exp_numerators,
+                           exp_qexp,
                            main_theorem_check, make_field, moore_det,
                            torsion_basis, weil_pairing)
 from drinfeld_weil.errors import NotTorsion, PoleOnModulus
@@ -197,11 +198,11 @@ def test_phi_x_step_on_qexpansions_matches_oracle(q, gs):
     from drinfeld_weil.pairing import _orbit_rows, _phi_x_step, _twists
     M = _bridge_module(q, gs)
     K = M.base
-    ec = exp_coeffs(M, 2)
+    E = exp_numerators(M, 2)
     fx = PolyRing(M.q_field, "x").poly([1, 0, 1])
-    seeds = [exp_qexp(M, K.gen() + K.one(), "Z", 2, ec),
-             agf_mod(M, fx, "Z1", 2, ec).coeffs[0],
-             moore_det([agf_mod(M, fx, s, 1, ec).coeffs[1] for s in ("Z1", "Z2")], q)]
+    seeds = [exp_qexp(M, K.gen() + K.one(), "Z", 2, E),
+             agf_mod(M, fx, "Z1", 2, E).coeffs[0],
+             moore_det([agf_mod(M, fx, s, 1, E).coeffs[1] for s in ("Z1", "Z2")], q)]
     for qe in seeds:
         for width in range(1, M.rank + 2):
             got = _phi_x_step(M, _twists(qe, q, width))
@@ -359,8 +360,7 @@ def test_moore_det_of_rank3_remainders_matches_cofactor():
     K = FracField(Rth)
     M = DrinfeldModule(F2, K, K.gen(), [K.one(), K.zero(), K.one()])
     f = PolyRing(F2, "x").poly([1, 1, 1])
-    ec = exp_coeffs(M, 1)
-    rems = [agf_mod(M, f, f"Z{i + 1}", 1, ec) for i in range(3)]
+    rems = [agf_mod(M, f, f"Z{i + 1}", 1) for i in range(3)]
     kappa = moore_det(rems, M.q)
     assert kappa == cofactor_det(moore_matrix(rems, M.q))
     assert any(not c.is_zero() for c in kappa.coeffs)
@@ -416,7 +416,7 @@ def test_bridge_left_side_matches_series_oracle():
         fx = PolyRing(M.q_field, "x").poly(f)
         ec = exp_coeffs(M, N)
         syms = [f"Z{i + 1}" for i in range(M.rank)]
-        new = moore_det([agf_mod(M, fx, s, N, ec) for s in syms], q).coeffs
+        new = moore_det([agf_mod(M, fx, s, N) for s in syms], q).coeffs
         old = agf_remainder(moore_det([agf(M, s, N, ec) for s in syms], q), fx)
         assert [(a.terms, a.caps) for a in new] == [(b.terms, b.caps) for b in old]
 
@@ -427,6 +427,9 @@ def test_bridge_left_side_matches_series_oracle():
     (((1,), (), (1,)), [1, 1], 2),      # rank 3, g = (1, 0, 1)
     (((1,), (), (1,)), [0, 1], 2),
     (((0, 1), (1,)), [1, 0, 1], 3),     # rank 2, f = x^2 + 1
+    (((1,), (), (1,)), [1, 0, 1], 2),   # rank 3, f = x^2 + 1
+    (((1,), (), (1,)), [1, 0, 1], 3),
+    (((0, 1), (1,)), [1, 0, 1], 4),
 ])
 def test_main_theorem_deeper_cells_over_f3(gs, f, N):
     M = _bridge_module(3, gs)
@@ -444,6 +447,111 @@ def test_main_theorem_pole_on_modulus():
     M = DrinfeldModule(F, K, K.one(), [K.one()])
     with pytest.raises(PoleOnModulus):
         main_theorem_check(M, PolyRing(F, "x").poly([2, 1]), 1, 0)
+
+
+def test_bridge_outside_polynomial_setting_is_refused():
+    # the numerators need theta = K.gen() and every g_j in F_q[theta]
+    F = make_field(3)
+    K = FracField(PolyRing(F, "theta"))
+    th = K.gen()
+    f = PolyRing(F, "x").poly([1, 0, 1])
+    cases = [(DrinfeldModule(F, K, th, [th, K.one() / (th + 1)]),
+              "g_2 = (1)/(theta + 1) in F_q[theta]"),
+             (DrinfeldModule(F, K, th + 1, [K.one(), K.one()]),
+              "theta = theta, not theta + 1")]
+    for M, reason in cases:
+        for call in (lambda: main_theorem_check(M, f, 2, 1),
+                     lambda: agf_mod(M, f, "Z", 1)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == f"exponential numerators need {reason}"
+
+
+def test_main_theorem_takes_no_gcd(monkeypatch):
+    # the bridge holds numerators over den(m): no poly_gcd anywhere on
+    # its path, rank 3 at N = 2 included
+    import sys
+    from drinfeld_weil import polys
+    calls = []
+    real = polys.poly_gcd
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("drinfeld_weil") and getattr(mod, "poly_gcd", None) is real:
+            monkeypatch.setattr(mod, "poly_gcd", counting)
+    M = _bridge_module(3, ((1,), (), (1,)))
+    rep = main_theorem_check(M, PolyRing(M.q_field, "x").poly([1, 0, 1]), 3, 2)
+    monkeypatch.undo()
+    assert rep["failures"] == [] and rep["monomials_checked"] == 3 * 27
+    assert calls == []
+
+
+def carlitz_den(ring, q, e):
+    """D_e = prod_{l=1}^{e} (theta^{q^l} - theta)^{q^{e-l}}, by powering."""
+    th = ring.gen()
+    acc = ring.one()
+    for l in range(1, e + 1):
+        acc = acc * (th ** (q ** l) - th) ** (q ** (e - l))
+    return acc
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_bridge_numerators_match_kt_oracle(q, r, n, data):
+    # both sides of the bridge, held as numerators, against the K(t)
+    # route: the f-remainder of the Moore determinant of the generating
+    # functions, whose every value times den(m) is a polynomial.  N <= 2,
+    # and N <= 1 at q = 3 and rank 3, where the oracle's remainders over
+    # K(t) take up to 9 s a draw
+    N = data.draw(st.integers(0, 1 if (q, r) == (3, 3) else 2))
+    from drinfeld_weil.pairing import _diamond_orbits, _orbit_rows
+    from drinfeld_weil.tate import _merge_caps, band_monomials
+    F = make_field(q)
+    ring = PolyRing(F, "theta")
+    K = FracField(ring)
+    poly = st.lists(st.integers(0, q - 1), max_size=3)
+    g = [K.frac(data.draw(poly)) for _ in range(r - 1)]
+    g.append(K.frac(data.draw(poly.filter(any))))
+    M = DrinfeldModule(F, K, K.gen(), g)
+    tail = data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+    f = PolyRing(F, "x").poly(tail + [1])
+    ec, E = exp_coeffs(M, N), exp_numerators(M, N)
+    for i in range(N + 1):
+        assert K.frac(E[i], carlitz_den(ring, q, i)) == ec.e[i]
+
+    f_theta = ring.poly(list(f.coeffs))
+
+    def den(m):
+        acc = ring.one()
+        for _, e in m:
+            acc = acc * carlitz_den(ring, q, e) * f_theta ** (q ** e)
+        return acc
+
+    syms = [f"Z{i + 1}" for i in range(r)]
+    oracle = [dict() for _ in range(n)]
+    for m, v in moore_det([agf(M, s, N, ec) for s in syms], q).terms.items():
+        for k, c in enumerate(ev_remainder(v, f).coeffs):
+            assert (c * den(m)).den == ring.one()
+            if not c.is_zero():
+                oracle[k][m] = c
+
+    rems = [agf_mod(M, f, s, N, E) for s in syms]
+    lhs = moore_det(rems, q).coeffs
+    for k in range(n):
+        assert set(lhs[k].terms) == set(oracle[k])
+        for m, c in oracle[k].items():
+            assert lhs[k].den(m) == den(m)
+            assert lhs[k].coeff(m) == c
+
+    tables = [_orbit_rows(M, h.coeffs[n - 1], n, r) for h in rems]
+    rhs = _diamond_orbits(weil_op_r(f, r + 1), M, tables, n)
+    pair_val = _diamond_orbits(weil_op_r(f, r), M, tables, None)
+    for k, side in [(k, rhs[k]) for k in range(n)] + [(n - 1, pair_val)]:
+        for m in band_monomials(_merge_caps(lhs[k].caps, side.caps)):
+            assert side.coeff(m) == oracle[k].get(m, K.zero())
 
 
 # ---------------------------------------------------------------------------

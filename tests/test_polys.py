@@ -163,6 +163,22 @@ def test_rational_function_canonical_form():
     assert a == Ft.frac(R.one(), R.gen())
     assert a.den.is_monic()
     assert poly_gcd(a.num, a.den).degree == 0
+    # a constant denominator needs no gcd, only the monic scaling
+    assert Ft.frac(R.poly([1, 2]), R.poly([2])) == Ft.frac(R.poly([2, 1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]), st.integers(0, 2), st.data())
+def test_spread_is_the_frobenius_and_quo_var_power_the_quotient(pe, k, data):
+    # over F_q, n(t)^(q^k) = n(t^(q^k)); dropping the k lowest
+    # coefficients is the quotient by t^k
+    F = make_field(*pe)
+    ring = PolyRing(F, "t")
+    coeffs = st.lists(st.lists(st.integers(0, F.p - 1), min_size=F.e, max_size=F.e),
+                      max_size=6)
+    a = ring.poly([F.elem(c) for c in data.draw(coeffs)])
+    assert a.spread(F.order ** k) == a ** (F.order ** k)
+    assert a.quo_var_power(k) == a // ring.gen() ** k
 
 
 def test_is_irreducible_poly():
