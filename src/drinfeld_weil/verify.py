@@ -506,15 +506,16 @@ def suite_main_theorem(seed=0, cases=None) -> dict:
     started = time.perf_counter()
     rec = Recorder()
     F, K, _, rank2 = _rational_modules(3)
+    rank3 = DrinfeldModule(F, K, K.gen(), [K.one(), K.zero(), K.one()])
     Rx = PolyRing(F, "x")
     moduli = [Rx.gen(), Rx.poly([1, 1]), Rx.poly([2, 1]),
               Rx.poly([0, 0, 1]), Rx.poly([1, 0, 1]), Rx.poly([2, 1, 1])]
-    N = 2
-    for f in moduli:
-        rep = pairing_mod.main_theorem_check(rank2, f, 2, N)
-        rec.check("moore-bridge", not rep["failures"],
-                  f"f={f} N={N} checked={rep['monomials_checked']}",
-                  lhs="; ".join(x["monomial"] for x in rep["failures"]))
+    for name, M, N in (("rank2", rank2, 3), ("rank3", rank3, 2)):
+        for f in moduli:
+            rep = pairing_mod.main_theorem_check(M, f, M.rank, N)
+            rec.check("moore-bridge", not rep["failures"],
+                      f"{name} f={f} N={N} checked={rep['monomials_checked']}",
+                      lhs="; ".join(x["monomial"] for x in rep["failures"]))
     # structural: the top t-slot of the (r+1)-variable operator is the
     # rank-r operator
     for f in moduli:

@@ -345,7 +345,7 @@ def test_verify_deterministic_reports(capsys):
 # action phi_apply_qexp and a second twist pass over each orbit
 VERIFY_SEED3_SHA256 = {
     "agf": "1d3b24a17e94b05ab7dc1eef20e206b7cb389850006e3286a94b4f6a20875190",
-    "main-theorem": "57a4df80a5b051f465c1b0012cba1bd363e3f1cbc2a2471e11598b33fd78b14c",
+    "main-theorem": "9058a604c9ccf596a029bae1254744bfcd0880789182ae7ed89ebca059497ff2",
     "maurischat-perkins": "fe4406383302eb71e105d519f50470dbbf13ce2f49ec57ea956c139183aab7a2",
     "operators --cases 10": "d3cfb9dcc6035d0dea625973d056d9db56d46a51460f7ad31a7c68949c3475c8",
     "pairing-axioms": "8151fdafb9dd12c5efbdba94f475f9ff9ce9216060d0ab5de986f2cd0391b16d",
