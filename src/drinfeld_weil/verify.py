@@ -20,7 +20,7 @@ from . import weil_ops as W
 from .fields import make_field, embed
 from .linalg import rank as mat_rank
 from .modules import (DrinfeldModule, a_module_basis, exp_coeffs,
-                      exp_numerators, kernel_in_field, torsion_basis)
+                      kernel_in_field, torsion_basis)
 from .multipoly import MPoly, MPolyRing
 from .polys import (FracField, PolyRing, is_irreducible_poly, lift_poly,
                     poly_gcd)
@@ -413,7 +413,6 @@ def suite_agf(seed=0, cases=None) -> dict:
     N = 3
     for name, M in (("carlitz", carlitz), ("rank2", rank2)):
         ec = exp_coeffs(M, N)
-        E = exp_numerators(M, N)
         for i in range(1, N + 1):
             rec.check(f"exp-recursion-{name}", ec.recursion_residual(i).is_zero(),
                       f"i={i}")
@@ -424,12 +423,12 @@ def suite_agf(seed=0, cases=None) -> dict:
             fth = tate.eval_at_theta(M, f)
             for i in range(n):
                 dfi = K.coerce(lift_poly(W.dual_map(f, i), Rth)(Rth.gen()))
-                want = tate.exp_qexp(M, dfi / fth, "Z", N, E)
+                want = tate.exp_qexp(M, dfi / fth, "Z", N)
                 bad = slots[i].mismatches(want)
                 rec.check(f"remainder-coefficient-slot{i}", not bad, tag,
                           lhs="; ".join(tate.mono_str(m) for m in bad))
             # the leading coefficient is the truncated exponential itself
-            lead = tate.exp_qexp(M, K.one() / fth, "Z", N, E)
+            lead = tate.exp_qexp(M, K.one() / fth, "Z", N)
             rec.check("leading-coefficient", not slots[n - 1].mismatches(lead), tag)
 
             # twisting commutes with taking remainders
@@ -474,7 +473,6 @@ def suite_maurischat_perkins(seed=0, cases=None) -> dict:
 
     for name, M in (("carlitz", carlitz), ("rank2", rank2)):
         ec = exp_coeffs(M, N)
-        E = exp_numerators(M, N)
         pk_theta = tate.eval_at_theta(M, p)
         for l in (0, 1):
             Es = tate.mp_coeffs(p, l)
@@ -489,7 +487,7 @@ def suite_maurischat_perkins(seed=0, cases=None) -> dict:
             bad_all = []
             for i in range(d):
                 Ei_th = K.coerce(lift_poly(Es[i], Rth)(Rth.gen()))
-                want = tate.exp_qexp(M, Ei_th / denom, "Z", N, E)
+                want = tate.exp_qexp(M, Ei_th / denom, "Z", N)
                 bad = lhs_slots[i].mismatches(want)
                 bad_all.extend(bad)
                 ok = ok and not bad

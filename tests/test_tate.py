@@ -390,3 +390,14 @@ def test_derivative_congruence_truncated():
             for i in range(2):
                 want = exp_qexp(M, theta_of(Es[i]) / p_theta ** (l + 1), "Z", N)
                 assert slots[i].mismatches(want) == []
+
+
+def test_agf_remainder_names_a_pole_off_den():
+    # the first Hasse-Schmidt derivative has poles p(theta)^2 per symbol;
+    # over the default pole p(theta) the numerators are not polynomials
+    p = Rq.poly([1, 0, 1])
+    w = hasse_schmidt(agf(rank2(), "Z", 1), 1)
+    with pytest.raises(ValueError, match=r"^coefficient of Z\^q\^0 has a pole off den\(m\)$"):
+        agf_remainder(w, p)
+    slots = agf_remainder(w, p, (theta_of(p) ** 2).num)
+    assert all(slot.poles == {"Z": (theta_of(p) ** 2).num} for slot in slots)
