@@ -401,3 +401,18 @@ def test_agf_remainder_names_a_pole_off_den():
         agf_remainder(w, p)
     slots = agf_remainder(w, p, (theta_of(p) ** 2).num)
     assert all(slot.poles == {"Z": (theta_of(p) ** 2).num} for slot in slots)
+
+
+def test_qexpansion_numerators_refuse_mixed_poles_and_fraction_scalars():
+    # den(m) is fixed by the monomial and the per-symbol pole, so two
+    # poles for one symbol cannot share numerators, and a scalar must
+    # be a polynomial in theta
+    M = carlitz()
+    a = exp_qexp(M, K.one() / THETA, "Z", 1)
+    b = exp_qexp(M, K.one() / (THETA + 1), "Z", 1)
+    with pytest.raises(ValueError, match="^q-expansions with different poles at Z$"):
+        a + b
+    with pytest.raises(ValueError, match="is not a polynomial$"):
+        a * (K.one() / THETA)
+    assert (a * THETA).coeff((("Z", 0),)) == K.one()
+    assert (a * exp_qexp(M, THETA, "W", 1)).poles == {"Z": Rth.gen(), "W": Rth.one()}
