@@ -163,7 +163,7 @@ def cmd_weil_op(args) -> int:
     if args.format == "latex":
         print(op.latex())
     elif args.format == "json":
-        terms = [[list(exps), [int(c) for c in coeff.coeffs]]
+        terms = [[list(exps), list(coeff.coeffs)]
                  for exps, coeff in sorted(op.terms.items())]
         print(json.dumps({"vars": list(op.ring.names), "terms": terms}))
     else:

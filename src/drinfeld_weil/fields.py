@@ -2,31 +2,49 @@
 
 A field is a descriptor (p, e, modulus) plus an element factory.  The
 modulus is a monic irreducible of degree e over F_p given as a
-coefficient list, constant term first; elements are residue polynomials
-of degree < e stored as length-e tuples of ints.  All values are
-immutable, equality is structural, and every operation is a pure
-function, so instances can be shared freely between threads.
+coefficient list, constant term first.  An element is a residue
+polynomial sum a_i y^i of degree < e held as one int v, the digit a_i
+in bits [iW, (i+1)W); .coeffs is the digit tuple (a_0, ..., a_{e-1}),
+and every order that reaches an output (elements(), the root embed
+picks, sorted values) is the order of those tuples, never of v.  All
+values are immutable, equality is structural, and every operation is a
+pure function, so instances can be shared freely between threads.
+
+FiniteField picks one of three element kernels from (p, e) when it is
+built:
+
+* p = 2: W = 1, so v = sum a_i 2^i.  + and - are XOR; x is a
+  shift-and-XOR product that folds the modulus in from the top bit down
+  to bit e; the Frobenius x -> x^2 is that product.
+* e = 1: v is in [0, p) and every operation is int arithmetic mod p.
+* odd p, e > 1: W = bitlen(2e(p-1)^2).  + and - add whole ints, then
+  subtract p from every slot >= p with one bias-and-mask step.  x is one
+  int product whose slots hold the convolution (Kronecker substitution;
+  von zur Gathen and Gerhard, Modern Computer Algebra, 8.4); the slots
+  >= e are folded in with the packed reduction table y^k mod the
+  modulus, and then each slot is reduced mod p once.
+
+Every F_p-linear map between fields is a list of packed columns in its
+target field, applied as sum_i a_i col_i and one slot pass: the odd-p
+Frobenius (columns (y^p)^i, built on first use, through which powers
+send each factor p of the exponent), a subfield embedding (columns
+image^i; on F_p it is the identity on v), and the coordinates over a
+subfield and their lift.  tests/test_fields.py keeps the digit-tuple
+arithmetic these kernels replaced as their oracle.
 
 F_p[y] arithmetic on int lists has one kernel here, _pmul (convolution)
 and _pdivmod (long division); the modulus search, the reduction table
 of each field and polys.UniPoly over F_p, which holds its coefficients
-as ints, all run on it.  Element products take their convolution from
-_pmul and keep their own table reduction, which is faster per product
-than _pdivmod.
+as ints, all run on it.  Element products do not call it.
 The modulus search tests each candidate with Ben-Or's irreducibility
 test on this kernel; polys.is_irreducible_poly is the same test on
 UniPoly over any finite field.
-
-Every F_p-linear map between fields is a list of int rows, built once
-and applied to coefficient tuples by _apply_rows: the Frobenius
-x -> x^p (through which powers send each factor p of the exponent), a
-subfield embedding, and the coordinates over a subfield and their lift.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import mul
+from operator import pos, xor
 
 from . import linalg
 
@@ -68,12 +86,7 @@ def is_prime(n: int) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The int-list F_p[y] kernel, constant term first.  F_p-linear maps.
-
-def _apply_rows(rows, v, p):
-    """The F_p-linear map with int rows applied to the int vector v."""
-    return tuple([sum(map(mul, row, v)) % p for row in rows])
-
+# The int-list F_p[y] kernel, constant term first.
 
 def _trim(a):
     while a and a[-1] == 0:
@@ -181,29 +194,36 @@ def _smallest_irreducible(p, e):
 
 
 class FieldElem:
-    """Element of a FiniteField: residue polynomial, constant term first."""
+    """Element of a FiniteField: one int v, digit a_i of the residue
+    polynomial sum a_i y^i in bits [iW, (i+1)W) (the module docstring)."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "v")
 
-    def __init__(self, field, coeffs):
+    def __init__(self, field, v):
         self.field = field
-        self.coeffs = coeffs  # tuple of length field.e, ints in [0, p)
+        self.v = v
+
+    @property
+    def coeffs(self):
+        """The digit tuple (a_0, ..., a_{e-1}), ints in [0, p)."""
+        return self.field._digits(self.v)
 
     def _coerce(self, other):
+        """other's int in this field's layout; an int is a constant."""
         if isinstance(other, FieldElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("field mismatch")
-            return other
+            return other.v
         if isinstance(other, int):
-            return self.field.elem(other)
+            return other % self.field.p
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        p = self.field.p
-        return FieldElem(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        field = self.field
+        return FieldElem(field, field._add(self.v, other))
 
     __radd__ = __add__
 
@@ -211,27 +231,29 @@ class FieldElem:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        p = self.field.p
-        return FieldElem(self.field, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        field = self.field
+        return FieldElem(field, field._sub(self.v, other))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        p = self.field.p
-        return FieldElem(self.field, tuple((-a) % p for a in self.coeffs))
+        field = self.field
+        return FieldElem(field, field._neg(self.v))
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.field._mul(self, other)
+        field = self.field
+        return FieldElem(field, field._mul(self.v, other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, int):
+            other = self.field.elem(other)
+        elif not isinstance(other, FieldElem):
             return NotImplemented
         return self * other.inverse()
 
@@ -239,56 +261,41 @@ class FieldElem:
         return self.inverse() * other
 
     def __pow__(self, n: int):
-        """x^n with n = p^k m, p not dividing m: x^m by left-to-right
-        square-and-multiply, then k applications of the Frobenius map."""
         if n < 0:
             return self.inverse() ** (-n)
-        if n == 0:
-            return self.field.one()
         field = self.field
-        k = 0
-        while n % field.p == 0:
-            n //= field.p
-            k += 1
-        result = self
-        for bit in bin(n)[3:]:
-            result = result * result
-            if bit == "1":
-                result = result * self
-        if field.e > 1:
-            for _ in range(k):
-                result = field._frob(result)
-        return result
+        return FieldElem(field, field._pow(self.v, n))
 
     def inverse(self):
-        if self.is_zero():
+        if not self.v:
             raise ZeroDivisionError("inverse of zero field element")
         return self ** (self.field.order - 2)
 
     def is_zero(self):
-        return all(a == 0 for a in self.coeffs)
+        return not self.v
 
     def __eq__(self, other):
         # ints are not coerced here: equal elements must hash equal
         if not isinstance(other, FieldElem):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.v == other.v and self.field == other.field
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash(self.v)
 
     def __bool__(self):
-        return not self.is_zero()
+        return self.v != 0
 
     def __repr__(self):
         return f"FieldElem({self})"
 
     def __str__(self):
+        coeffs = self.coeffs
         if self.field.e == 1:
-            return str(self.coeffs[0])
+            return str(coeffs[0])
         parts = []
         for k in range(self.field.e - 1, -1, -1):
-            a = self.coeffs[k]
+            a = coeffs[k]
             if a == 0:
                 continue
             if k == 0:
@@ -297,6 +304,150 @@ class FieldElem:
                 var = "y" if k == 1 else f"y^{k}"
                 parts.append(var if a == 1 else f"{a}*{var}")
         return " + ".join(parts) if parts else "0"
+
+
+# ---------------------------------------------------------------------------
+# The three element kernels.  Each sets the field's int operations _add,
+# _sub, _neg, _mul, _frob (x -> x^p) and _apply (an F_p-linear map given
+# by packed columns in this field, applied to the digits of a packed int
+# of slot width w).
+
+def _gf2_kernel(F):
+    """p = 2, W = 1: + and - are XOR, x shifts and XORs, then folds the
+    modulus in from the top bit down to bit e; x^2 is that product."""
+    e, m = F.e, F._pack(F.modulus)
+
+    def mul(a, b):
+        r = 0
+        while b:
+            low = b & -b
+            r ^= a * low
+            b ^= low
+        while r >> e:
+            r ^= m << (r.bit_length() - 1 - e)
+        return r
+
+    def apply(cols, a, w, mask):
+        acc = 0
+        for c in cols:
+            if not a:
+                break
+            if a & mask:
+                acc ^= c
+            a >>= w
+        return acc
+
+    F._add = F._sub = xor
+    F._neg = pos
+    F._mul = mul
+    F._frob = lambda a: mul(a, a)
+    F._apply = apply
+
+
+def _prime_kernel(F):
+    """e = 1: v is in [0, p), every operation is int arithmetic mod p and
+    the Frobenius is the identity."""
+    p = F.p
+
+    def apply(cols, a, w, mask):
+        acc = 0
+        for c in cols:
+            acc += (a & mask) * c
+            a >>= w
+        return acc % p
+
+    F._add = lambda a, b: (a + b) % p
+    F._sub = lambda a, b: (a - b) % p
+    F._neg = lambda a: -a % p
+    F._mul = lambda a, b: a * b % p
+    F._frob = pos
+    F._apply = apply
+
+
+def _packed_kernel(F):
+    """Odd p, e > 1, W = bitlen(2e(p-1)^2): a slot holds a convolution
+    digit, at most e(p-1)^2, plus the folded reduction, at most
+    (e-1)(p-1)^2, with no carry into the next slot."""
+    p, e, W, mask = F.p, F.e, F._w, F._mask
+    # reduction table: y^k mod the modulus for k in [e, 2e-2], packed,
+    # each power one kernel step from the one before
+    red, cur = [], [0] * (e - 1) + [1]
+    for _ in range(e - 1):
+        cur = _pdivmod([0] + cur, F.modulus, p)[1]
+        red.append(F._pack(cur))
+    F._red = red
+    F._frob_cols = None  # built by frob on first use
+    ones = F._pack([1] * e)
+    full = p * ones
+    top = ones << (W - 1)
+    # slot + bias reaches the top bit exactly when slot >= p
+    bias = ((1 << (W - 1)) - p) * ones
+    low = (1 << (e * W)) - 1
+
+    def reduce(x):
+        """Every slot of x reduced mod p."""
+        out = sh = 0
+        while x:
+            out |= (x & mask) % p << sh
+            x >>= W
+            sh += W
+        return out
+
+    def add(a, b):
+        s = a + b
+        return s - (((s + bias) & top) >> (W - 1)) * p
+
+    def sub(a, b):
+        s = a + full - b
+        return s - (((s + bias) & top) >> (W - 1)) * p
+
+    def neg(a):
+        s = full - a
+        return s - (((s + bias) & top) >> (W - 1)) * p
+
+    def mul(a, b):
+        c = a * b
+        lo = c & low
+        c >>= e * W
+        for t in red:
+            if not c:
+                break
+            d = (c & mask) % p
+            if d:
+                lo += d * t
+            c >>= W
+        return reduce(lo)
+
+    def apply(cols, a, w, amask):
+        acc = 0
+        for c in cols:
+            if not a:
+                break
+            d = a & amask
+            if d:
+                acc += d * c
+            a >>= w
+        return reduce(acc)
+
+    def frob(a):
+        cols = F._frob_cols
+        if cols is None:
+            cols = F._frob_cols = _frobenius_columns(F)
+        return apply(cols, a, W, mask)
+
+    F._add, F._sub, F._neg, F._mul, F._frob, F._apply = add, sub, neg, mul, frob, apply
+
+
+def _frobenius_columns(F):
+    """Column i of x -> x^p is (y^p)^i mod the modulus, y^p by the
+    kernel's powering: O(e^3), so not part of building the field."""
+    p, m = F.p, F.modulus
+    yp = _ppow_mod([0, 1], p, m, p)
+    cols, cur = [], [1]
+    for _ in range(F.e):
+        cols.append(F._pack(cur))
+        cur = _pdivmod(_pmul(cur, yp), m, p)[1]
+    return cols
 
 
 class FiniteField:
@@ -319,14 +470,45 @@ class FiniteField:
         self.e = e
         self.modulus = tuple(modulus)
         self.order = p ** e
-        # reduction table: y^k mod the modulus for k in [e, 2e-2], each
-        # power one kernel step from the one before
-        red, cur = [], [0] * (e - 1) + [1]
-        for _ in range(e - 1):
-            cur = _pdivmod([0] + cur, modulus, p)[1]
-            red.append(tuple(cur + [0] * (e - len(cur))))
-        self._red = red
-        self._frob_rows = None  # built by _frob on first use
+        self._w = 1 if p == 2 else (2 * e * (p - 1) ** 2).bit_length()
+        self._mask = (1 << self._w) - 1
+        if p == 2:
+            _gf2_kernel(self)
+        elif e == 1:
+            _prime_kernel(self)
+        else:
+            _packed_kernel(self)
+
+    def _pack(self, digits):
+        v, w = 0, self._w
+        for d in reversed(digits):
+            v = (v << w) | d
+        return v
+
+    def _digits(self, v):
+        w, mask = self._w, self._mask
+        return tuple([(v >> sh) & mask for sh in range(0, self.e * w, w)])
+
+    def _pow(self, v, n: int) -> int:
+        """v^n, n >= 0, with n = p^k m, p not dividing m: v^m by
+        left-to-right square-and-multiply, then k Frobenius steps."""
+        p = self.p
+        if self.e == 1:
+            return pow(v, n, p)
+        if n == 0:
+            return 1
+        k = 0
+        while n % p == 0:
+            n //= p
+            k += 1
+        mul, r = self._mul, v
+        for bit in bin(n)[3:]:
+            r = mul(r, r)
+            if bit == "1":
+                r = mul(r, v)
+        for _ in range(k):
+            r = self._frob(r)
+        return r
 
     def elem(self, value) -> FieldElem:
         if isinstance(value, FieldElem):
@@ -334,22 +516,21 @@ class FiniteField:
                 raise ValueError("field mismatch")
             return value
         if isinstance(value, int):
-            coeffs = [value % self.p] + [0] * (self.e - 1)
-            return FieldElem(self, tuple(coeffs))
-        coeffs = [int(c) % self.p for c in value]
+            return FieldElem(self, value % self.p)
+        p = self.p
+        coeffs = [int(c) % p for c in value]
         if len(coeffs) > self.e:
             raise ValueError("coefficient list longer than extension degree")
-        coeffs += [0] * (self.e - len(coeffs))
-        return FieldElem(self, tuple(coeffs))
+        return FieldElem(self, self._pack(coeffs))
 
     # hook for generic code that coerces scalars into a field
     coerce = elem
 
     def zero(self) -> FieldElem:
-        return self.elem(0)
+        return FieldElem(self, 0)
 
     def one(self) -> FieldElem:
-        return self.elem(1)
+        return FieldElem(self, 1)
 
     def gen(self) -> FieldElem:
         """Class of y (equals 0 + 1*y); for e = 1 this is 1."""
@@ -360,36 +541,7 @@ class FiniteField:
     def elements(self):
         """All p^e elements, in lexicographic coefficient order."""
         for digits in itertools.product(range(self.p), repeat=self.e):
-            yield FieldElem(self, digits)
-
-    def _mul(self, a: FieldElem, b: FieldElem) -> FieldElem:
-        p, e = self.p, self.e
-        if e == 1:
-            return FieldElem(self, ((a.coeffs[0] * b.coeffs[0]) % p,))
-        conv = _pmul(a.coeffs, b.coeffs)
-        out = [c % p for c in conv[:e]]
-        for k in range(e, 2 * e - 1):
-            c = conv[k] % p
-            if c:
-                table = self._red[k - e]
-                out = [(o + c * t) % p for o, t in zip(out, table)]
-        return FieldElem(self, tuple(out))
-
-    def _frob(self, a: FieldElem) -> FieldElem:
-        """a^p, as the F_p-linear map sum c_i y^i -> sum c_i (y^p)^i.
-
-        The map's rows are built on first use: column i is (y^p)^i mod
-        the modulus, y^p by the kernel's powering.  That is O(e^3), so it
-        is not part of building the field."""
-        p = self.p
-        if self._frob_rows is None:
-            yp = _ppow_mod([0, 1], p, self.modulus, p)
-            cols, cur = [], [1]
-            for _ in range(self.e):
-                cols.append(cur + [0] * (self.e - len(cur)))
-                cur = _pdivmod(_pmul(cur, yp), self.modulus, p)[1]
-            self._frob_rows = list(zip(*cols))
-        return FieldElem(self, _apply_rows(self._frob_rows, a.coeffs, p))
+            yield FieldElem(self, self._pack(digits))
 
     def describe(self):
         return {"p": self.p, "e": self.e, "modulus": list(self.modulus)}
@@ -417,7 +569,8 @@ def make_field(p: int, e: int = 1, modulus=None) -> FiniteField:
 
 class Embedding:
     """Ring embedding of a subfield into an extension, gen -> image: the
-    F_p-linear map whose column i is image^i."""
+    F_p-linear map whose column i is image^i.  On F_p it is the identity
+    on v, the digit in slot 0."""
 
     def __init__(self, small: FiniteField, big: FiniteField, image: FieldElem):
         self.small = small
@@ -425,14 +578,17 @@ class Embedding:
         self.image = image
         cols, power = [], big.one()
         for _ in range(small.e):
-            cols.append(power.coeffs)
+            cols.append(power.v)
             power = power * image
-        self._rows = list(zip(*cols))
+        self._cols = cols
 
     def __call__(self, x: FieldElem) -> FieldElem:
-        if x.field != self.small:
+        small = self.small
+        if x.field != small:
             raise ValueError("element not in source field")
-        return FieldElem(self.big, _apply_rows(self._rows, x.coeffs, self.big.p))
+        if small.e == 1:
+            return FieldElem(self.big, x.v)
+        return FieldElem(self.big, self.big._apply(self._cols, x.v, small._w, small._mask))
 
 
 def embed(small: FiniteField, big: FiniteField) -> Embedding:
@@ -457,7 +613,7 @@ def embed(small: FiniteField, big: FiniteField) -> Embedding:
         for d, basis_vec in zip(digits, kernel):
             if d:
                 for i, b in enumerate(basis_vec):
-                    vec[i] = (vec[i] + d * b.coeffs[0]) % big.p
+                    vec[i] = (vec[i] + d * b.v) % big.p
         cand = big.elem(vec)
         # evaluate small's modulus at cand
         acc = big.zero()
@@ -476,8 +632,8 @@ class RelativeBasis:
     big.gen(), which generates big over any subfield.
 
     On F_p digits, lift (c_0, ..., c_{dim-1}) -> sum emb(c_i) w^i is the
-    map whose columns are emb(y^j) w^i, and coords is its inverse; both
-    are int rows, the inverse found once by elimination over F_p.
+    map whose columns are emb(y^j) w^i, and coords is its inverse, found
+    once by elimination over F_p; both are packed columns in big.
     """
 
     def __init__(self, big: FiniteField, small: FiniteField, emb):
@@ -491,22 +647,27 @@ class RelativeBasis:
         for _ in range(self.dim - 1):
             powers.append(powers[-1] * w)
         self.powers = powers
-        cols = [(emb(small.elem([0] * j + [1])) * w_i).coeffs
+        cols = [emb(small.elem([0] * j + [1])) * w_i
                 for w_i in powers for j in range(small.e)]
-        self._lift_rows = list(zip(*cols))
+        self._lift_cols = [c.v for c in cols]
         fp = FiniteField(big.p)
-        inv = linalg.inverse([[fp.elem(c) for c in row] for row in self._lift_rows], fp)
-        self._coord_rows = [[c.coeffs[0] for c in row] for row in inv]
+        mat = [[fp.elem(d) for d in row] for row in zip(*(c.coeffs for c in cols))]
+        inv = linalg.inverse(mat, fp)
+        self._coord_cols = [big._pack([row[c].v for row in inv]) for c in range(big.e)]
 
     def coords(self, x: FieldElem):
         """Coordinates of x over small, length dim."""
-        digits = _apply_rows(self._coord_rows, x.coeffs, self.big.p)
-        k = self.small.e
-        return [FieldElem(self.small, digits[i * k:(i + 1) * k]) for i in range(self.dim)]
+        big, small, k = self.big, self.small, self.small.e
+        digits = big._digits(big._apply(self._coord_cols, x.v, big._w, big._mask))
+        return [FieldElem(small, small._pack(digits[i * k:(i + 1) * k]))
+                for i in range(self.dim)]
 
     def lift(self, vec):
-        digits = [c for v in vec for c in v.coeffs]
-        return FieldElem(self.big, _apply_rows(self._lift_rows, digits, self.big.p))
+        small = self.small
+        chunk, v = small.e * small._w, 0
+        for c in reversed(vec):
+            v = (v << chunk) | c.v
+        return FieldElem(self.big, self.big._apply(self._lift_cols, v, small._w, small._mask))
 
 
 def min_poly_over(x: FieldElem, rel: RelativeBasis):

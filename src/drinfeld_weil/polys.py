@@ -49,7 +49,7 @@ class PolyRing:
     def poly(self, coeffs) -> "UniPoly":
         field, p = self.field, self.p
         if p is not None:
-            return _from_ints(self, [c % p if isinstance(c, int) else field.coerce(c).coeffs[0]
+            return _from_ints(self, [c % p if isinstance(c, int) else field.coerce(c).v
                                      for c in coeffs])
         elems = [field.coerce(c) for c in coeffs]
         while elems and elems[-1].is_zero():
@@ -104,7 +104,7 @@ class UniPoly:
                 view = self._c
             else:
                 field = self.ring.field
-                view = tuple([FieldElem(field, (v,)) for v in self._c])
+                view = tuple([FieldElem(field, v) for v in self._c])
             self._view = view
         return view
 
@@ -193,7 +193,7 @@ class UniPoly:
         # scalar
         c = ring.field.coerce(other)
         if p is not None:
-            c = c.coeffs[0]
+            c = c.v
             return UniPoly(ring, tuple([a * c % p for a in self._c]) if c else ())
         return ring.poly([a * c for a in self._c])
 

@@ -85,11 +85,14 @@ def weil_op_r(f: UniPoly, r: int) -> MPoly:
     for _ in range(r - 2):
         prods = {ks + (k,): (pk * b[k]) % f
                  for ks, pk in prods.items() for k in range(ks[-1], n)}
+    # each product's nonzero (index, coefficient) list, read once and
+    # shared by every permutation of its multiset
+    nonzero = {ks: [(i, c) for i, c in enumerate(pk.coeffs) if c]
+               for ks, pk in prods.items()}
     terms = {}
     for ks in itertools.product(range(n), repeat=r - 1):
-        for i, c in enumerate(prods[tuple(sorted(ks))].coeffs):
-            if not c.is_zero():
-                terms[ks + (i,)] = c
+        for i, c in nonzero[tuple(sorted(ks))]:
+            terms[ks + (i,)] = c
     return MPoly(ring, terms)
 
 

@@ -3,7 +3,7 @@ import itertools
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from drinfeld_weil import embed, make_field
 from drinfeld_weil.fields import (PRIME_TEST_LIMIT, RelativeBasis, is_prime,
@@ -405,10 +405,13 @@ def _red_by_shift_and_subtract(p, e, modulus):
 
 
 def test_reduction_table_matches_shift_and_subtract():
-    cells = list(PINNED_MODULI) + [(2, 60)]
+    # the packed kernel (odd p, e > 1) folds with this table; p = 2 folds
+    # the modulus itself
+    cells = [(p, e) for p, e in PINNED_MODULI if p > 2] + [(3, 40)]
     for p, e in cells:
         F = make_field(p, e)
-        assert F._red == _red_by_shift_and_subtract(p, e, F.modulus), (p, e)
+        want = _red_by_shift_and_subtract(p, e, F.modulus)
+        assert F._red == [F.elem(list(t)).v for t in want], (p, e)
 
 
 # ---------------------------------------------------------------------------
@@ -478,17 +481,19 @@ def test_frobenius_map_matches_square_and_multiply():
         xs = [F.elem([0] * i + [1]) for i in range(e)]
         xs.append(F.elem([(3 * i + 1) % p for i in range(e)]))
         for x in xs:
-            assert F._frob(x) == _square_and_multiply(x, p), (p, e, x)
-            assert x ** p == F._frob(x)
+            assert F._frob(x.v) == _square_and_multiply(x, p).v, (p, e, x)
+            assert (x ** p).v == F._frob(x.v)
 
 
 def test_frobenius_map_not_built_with_the_field():
-    F = make_field(2, 12)
-    assert F._frob_rows is None
-    F.gen() ** 3
-    assert F._frob_rows is None
+    # p = 2 squares with no table; the packed kernel's columns are built
+    # on the first p-th power
+    F = make_field(3, 9)
+    assert F._frob_cols is None
     F.gen() ** 2
-    assert F._frob_rows is not None
+    assert F._frob_cols is None
+    F.gen() ** 3
+    assert F._frob_cols is not None
 
 
 def test_pow_p_in_large_characteristic_is_fast():
@@ -643,3 +648,111 @@ def test_min_poly_matches_solves_and_vanishes(pair, data):
     for c in reversed(mp):
         acc = acc * x + emb(c)
     assert acc.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Packed elements against the digit-tuple oracle: the arithmetic elements
+# ran when they were length-e tuples of digits, each product an e^2
+# convolution reduced by the table y^k mod the modulus, the Frobenius an
+# F_p-linear map on int rows.
+
+class _TupleField:
+    def __init__(self, F):
+        from drinfeld_weil.fields import _pdivmod, _pmul, _ppow_mod
+        self.p, self.e, self.order = F.p, F.e, F.order
+        self.red = _red_by_shift_and_subtract(F.p, F.e, F.modulus) if F.e > 1 else []
+        yp = _ppow_mod([0, 1], F.p, F.modulus, F.p)
+        cols, cur = [], [1]
+        for _ in range(F.e):
+            cols.append(cur + [0] * (F.e - len(cur)))
+            cur = _pdivmod(_pmul(cur, yp), F.modulus, F.p)[1]
+        self.frob_rows = list(zip(*cols))
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple((-x) % self.p for x in a)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        from drinfeld_weil.fields import _pmul
+        p, e = self.p, self.e
+        conv = _pmul(a, b)
+        out = [c % p for c in conv[:e]]
+        for k in range(e, 2 * e - 1):
+            c = conv[k] % p
+            if c:
+                out = [(o + c * t) % p for o, t in zip(out, self.red[k - e])]
+        return tuple(out)
+
+    def frob(self, a):
+        return tuple(sum(r * x for r, x in zip(row, a)) % self.p for row in self.frob_rows)
+
+    def pow(self, a, n):
+        """n = p^k m: a^m by left-to-right square-and-multiply, then k
+        Frobenius steps."""
+        if n == 0:
+            return (1,) + (0,) * (self.e - 1)
+        k = 0
+        while n % self.p == 0:
+            n //= self.p
+            k += 1
+        result = a
+        for bit in bin(n)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
+        for _ in range(k):
+            result = self.frob(result)
+        return result
+
+    def inverse(self, a):
+        return self.pow(a, self.order - 2)
+
+
+ORACLE_FIELDS = ([(p, e) for p in (2, 3, 5, 7) for e in (1, 2, 3, 5, 9, 12)]
+                 + [(2, 64), (3, 40)])
+
+
+@functools.cache
+def _oracle_field(p, e):
+    F = make_field(p, e)
+    return F, _TupleField(F)
+
+
+@st.composite
+def _oracle_case(draw):
+    p, e = draw(st.sampled_from(ORACLE_FIELDS))
+    # all-(p-1) digits fill the slots of the packed product the most
+    digits = st.one_of(st.just([p - 1] * e),
+                       st.lists(st.integers(0, p - 1), min_size=e, max_size=e))
+    n = draw(st.integers(0, 40)) * p ** draw(st.integers(0, 3))
+    return p, e, tuple(draw(digits)), tuple(draw(digits)), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(_oracle_case())
+# the square of all-6 digits in GF(7^12) overflows a slot one bit narrower
+@example((7, 12, (6,) * 12, (6,) * 12, 7))
+def test_packed_elements_match_tuple_oracle(case):
+    p, e, da, db, n = case
+    F, T = _oracle_field(p, e)
+    a, b = F.elem(list(da)), F.elem(list(db))
+    assert a.coeffs == da and b.coeffs == db
+    assert F.elem(a.coeffs) == a and hash(F.elem(a.coeffs)) == hash(a)
+    assert (a == b) == (da == db)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (a + b).coeffs == T.add(da, db)
+    assert (a - b).coeffs == T.sub(da, db)
+    assert (-a).coeffs == T.neg(da)
+    assert (a * b).coeffs == T.mul(da, db)
+    assert (a * a).coeffs == T.mul(da, da)
+    assert (a ** n).coeffs == T.pow(da, n)
+    assert (a ** p).coeffs == T.frob(da) == F._digits(F._frob(a.v))
+    if any(da):
+        assert a.inverse().coeffs == T.inverse(da)
+        assert (b / a).coeffs == T.mul(db, T.inverse(da))
