@@ -20,9 +20,9 @@ built:
 * odd p, e > 1: W = bitlen(2e(p-1)^2).  + and - add whole ints, then
   subtract p from every slot >= p with one bias-and-mask step.  x is one
   int product whose slots hold the convolution (Kronecker substitution;
-  von zur Gathen and Gerhard, Modern Computer Algebra, 8.4); the slots
-  >= e are folded in with the packed reduction table y^k mod the
-  modulus, and then each slot is reduced mod p once.
+  von zur Gathen and Gerhard, Modern Computer Algebra); the slots >= e
+  are folded in with the packed reduction table y^k mod the modulus,
+  and then each slot is reduced mod p once.
 
 Every F_p-linear map between fields is a list of packed columns in its
 target field, applied as sum_i a_i col_i and one slot pass: the odd-p
