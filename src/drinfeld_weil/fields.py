@@ -555,6 +555,10 @@ class FiniteField:
     def __hash__(self):
         return hash((self.p, self.e, self.modulus))
 
+    def __reduce__(self):
+        # the kernel's closures do not pickle; the descriptor rebuilds them
+        return FiniteField, (self.p, self.e, self.modulus)
+
     def __repr__(self):
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
 

@@ -119,6 +119,17 @@ def test_field_equality_is_structural():
     assert make_field(3, 2).gen() + F9.gen() == F9.elem([0, 2])
 
 
+def test_fields_and_elements_pickle():
+    import copy
+    import pickle
+    for p, e in ((2, 5), (3, 1), (3, 4)):
+        F = make_field(p, e)
+        x = F.elem([1] * e)
+        y = pickle.loads(pickle.dumps(x))
+        assert y == x and y.field == F and y ** p == x ** p
+        assert copy.deepcopy(x) == x
+
+
 def test_non_prime_p_rejected():
     with pytest.raises(ValueError):
         make_field(4)
