@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from . import linalg
 from .errors import BadCharacteristic, SplittingFieldTooLarge
@@ -92,11 +91,14 @@ class DrinfeldModule:
                 "theta": str(self.theta), "g": [str(gi) for gi in self.g]}
 
 
-@dataclass
 class ExpCoeffs:
     """Truncated exponential data e_0..e_N with e_i = 1/D_i."""
-    module: DrinfeldModule
-    e: tuple
+
+    __slots__ = ("module", "e")
+
+    def __init__(self, module: DrinfeldModule, e: tuple):
+        self.module = module
+        self.e = e
 
     def depth(self) -> int:
         return len(self.e) - 1
@@ -172,15 +174,19 @@ def exp_numerators(M: DrinfeldModule, N: int) -> tuple:
 # ---------------------------------------------------------------------------
 # Torsion over finite A-fields.
 
-@dataclass
 class TorsionBasis:
-    module: DrinfeldModule
-    module_ext: DrinfeldModule
-    field_ext: FiniteField
-    rel: RelativeBasis
-    points: list
-    f: UniPoly
-    s: int
+    __slots__ = ("module", "module_ext", "field_ext", "rel", "points", "f", "s")
+
+    def __init__(self, module: DrinfeldModule, module_ext: DrinfeldModule,
+                 field_ext: FiniteField, rel: RelativeBasis, points: list,
+                 f: UniPoly, s: int):
+        self.module = module
+        self.module_ext = module_ext
+        self.field_ext = field_ext
+        self.rel = rel
+        self.points = points
+        self.f = f
+        self.s = s
 
     def cardinality(self) -> int:
         return self.module.q ** len(self.points)

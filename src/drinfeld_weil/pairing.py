@@ -12,6 +12,8 @@ the package's one Moore determinant.  It takes concrete torsion points
 (field elements in a splitting extension), formal truncated
 q-expansions, truncated generating functions and f-remainders alike:
 a table of each entry's twists, then the signed sum over permutations.
+A truncated series' twists keep only the monomials inside its caps, so
+a determinant of series forms no term outside its guard band.
 
 One table per argument holds its orbit and the orbit's twists: row k
 of _orbit_rows is v, v^q, ..., v^(q^(r-1)) for v = phi_x^k mu, and
@@ -47,7 +49,8 @@ from .errors import NotTorsion, TruncationTooShallow
 from .modules import DrinfeldModule, exp_numerators
 from .multipoly import MPoly
 from .polys import UniPoly
-from .tate import QExpansion, agf_mod, band_monomials, mono_str, theta_poly, _merge_caps
+from .tate import (QExpansion, RemainderPoly, _merge_caps, _SymSeries, agf_mod,
+                   band_monomials, mono_str, theta_poly)
 from .weil_ops import weil_op_r
 
 
@@ -57,19 +60,40 @@ def moore_det(mus, q: int):
     A field element's twist is its q-th power; everything else
     (q-expansions, generating functions, f-remainders) twists itself by
     .frobenius(1).  The determinant is the signed sum over permutations
-    of the entries' twist table."""
+    of the entries' twist table.
+
+    Truncated series come back as exactly their guard band.  Each twist
+    keeps only the monomials inside its untwisted entry's caps
+    (_twists); products and sums never lower an exponent, so a dropped
+    monomial could only have formed terms above the determinant's caps.
+    For entries with no term above their caps and one cap per symbol,
+    the result has the unpruned sum's caps and exactly its terms inside
+    them."""
     if len(mus) == 1:
         return mus[0]
     return _signed_sum([_twists(mu, q, len(mus)) for mu in mus])
 
 
 def _twists(mu, q: int, r: int):
-    """mu, mu^q, ..., mu^(q^(r-1)), each twist formed from the one before."""
+    """mu, mu^q, ..., mu^(q^(r-1)), each twist formed from the one before.
+    A q-expansion-valued twist keeps only the monomials inside mu's caps
+    (coefficient by coefficient for an f-remainder)."""
     row = [mu]
     for _ in range(r - 1):
-        row.append(row[-1].frobenius(1) if hasattr(mu, "frobenius")
+        row.append(_twist_in_band(row[-1], mu, q) if hasattr(mu, "frobenius")
                    else row[-1] ** q)
     return row
+
+
+def _twist_in_band(w, mu, q: int):
+    """w's twist pruned to mu's caps: the terms of w at a symbol's cap
+    are dropped before the twist would lift them past it."""
+    if isinstance(w, RemainderPoly):
+        return RemainderPoly(w.f, tuple(_twist_in_band(c, d, q)
+                                        for c, d in zip(w.coeffs, mu.coeffs)))
+    if isinstance(w, _SymSeries):
+        return w.prune({s: cap - 1 for s, cap in mu.caps.items()}).frobenius(1)
+    return w ** q
 
 
 def _signed_sum(table):
@@ -101,13 +125,13 @@ def _orbit_rows(M: DrinfeldModule, mu, count: int, width: int):
 def _phi_x_step(M: DrinfeldModule, row):
     """phi_x v = theta v + sum_i g_i v^(q^i) from the twists row of v,
     twisting past the row's end only as far as q^rank; a q-expansion
-    is pruned to v's guard band."""
+    keeps v's guard band, since every twist in the row is pruned to it."""
     twists = row + _twists(row[-1], M.q, M.rank + 2 - len(row))[1:]
     acc = None
     for c, w in zip((M.theta,) + M.g, twists):
         if not c.is_zero():
             acc = w * c if acc is None else acc + w * c
-    return acc.prune(row[0].caps) if isinstance(acc, QExpansion) else acc
+    return acc
 
 
 def _zero_like(M: DrinfeldModule, mus):

@@ -11,17 +11,27 @@ code as poles in a finite field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .polys import RatFunc
 
 
-@dataclass(frozen=True)
 class LaurentAtInfinity:
     """Truncated expansion sum coeffs[j] * u^(lead_exp + j), u = 1/t."""
-    lead_exp: int
-    coeffs: tuple
-    prec: int
+
+    __slots__ = ("lead_exp", "coeffs", "prec")
+
+    def __init__(self, lead_exp: int, coeffs: tuple, prec: int):
+        self.lead_exp = lead_exp
+        self.coeffs = coeffs
+        self.prec = prec
+
+    def _key(self):
+        return self.lead_exp, self.coeffs, self.prec
+
+    def __eq__(self, other):
+        return type(other) is LaurentAtInfinity and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def _series_div(num_coeffs, den_coeffs, field, prec):

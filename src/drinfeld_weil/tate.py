@@ -35,18 +35,18 @@ Z1^{q^a} Z2^{q^b}, possibly with repeats) to rational functions in t.
 Every value's denominator is a product of factors (theta^{q^j} - t).
 Truncation is tracked per symbol: caps[Z] = N means every coefficient
 involving Z^{q^k} with k <= N is exact (structural zeros included).
-Sums, products and twists keep every monomial they form, including
-those above a cap; only prune (and the phi_x step of pairing, which
-prunes) drops them, and comparisons only assert equality inside the
-shared guard band.  A series is twisted by .frobenius(k); the Moore
+Sums, products and .frobenius(k) keep every monomial they form,
+including those above a cap; such terms are not exact, and comparisons
+only assert equality inside the shared guard band.  The Moore
 determinant of series is pairing.moore_det, the same one that serves
-field elements.
+field elements.  Its twist table prunes each twist to the untwisted
+entry's caps, so for entries within their caps it forms, and returns,
+only terms inside its guard band; prune drops such terms anywhere else.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import PoleOnModulus
 from .fields import embed, make_field
@@ -63,7 +63,6 @@ INF_CAP = 10 ** 9
 # ---------------------------------------------------------------------------
 # Remainders.
 
-@dataclass(frozen=True)
 class RemainderPoly:
     """Element of L[t]/(f), f monic over F_q: the coefficient tuple of its
     representative of degree < deg f.
@@ -72,8 +71,22 @@ class RemainderPoly:
     is a ring homomorphism that commutes with the twist, which raises
     every coefficient to the q-th power (.frobenius for q-expansions) and
     fixes t, since f has F_q coefficients."""
-    f: UniPoly
-    coeffs: tuple
+
+    __slots__ = ("f", "coeffs")
+
+    def __init__(self, f: UniPoly, coeffs: tuple):
+        self.f = f
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        return (type(other) is RemainderPoly and self.f == other.f
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.f, self.coeffs))
+
+    def __repr__(self):
+        return f"RemainderPoly({self.f}, {self.coeffs})"
 
     def _check(self, other):
         if not isinstance(other, RemainderPoly) or other.f != self.f:

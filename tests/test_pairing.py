@@ -13,6 +13,7 @@ from drinfeld_weil import (DrinfeldModule, FracField, MPoly, MPolyRing,
                            main_theorem_check, make_field, moore_det,
                            torsion_basis, weil_pairing)
 from drinfeld_weil.errors import NotTorsion, PoleOnModulus
+from drinfeld_weil.tate import QExpansion, RemainderPoly, TruncAGF, mono_in_band
 from drinfeld_weil.weil_ops import weil_op_r
 
 F2 = make_field(2)
@@ -342,16 +343,29 @@ def test_moore_det_matches_cofactor_expansion(field_q, r, data):
     assert moore_det(mus, q) == cofactor_det(moore_matrix(mus, q))
 
 
+def assert_band_exact(kappa, oracle):
+    """kappa is the oracle inside kappa's caps, with the oracle's caps
+    and no term outside them."""
+    pairs = (zip(kappa.coeffs, oracle.coeffs) if isinstance(kappa, RemainderPoly)
+             else [(kappa, oracle)])
+    for got, want in pairs:
+        assert got.caps == want.caps
+        assert got.terms == want.prune(got.caps).terms
+        assert all(mono_in_band(m, got.caps) for m in got.terms)
+
+
 def test_moore_det_of_rank3_generating_functions_matches_cofactor():
-    # the bridge's rank-3 module g = (1, 0, 1) over F_2(theta), N = 1
+    # the bridge's rank-3 module g = (1, 0, 1) over F_2(theta); every
+    # Moore term twists one symbol twice, so N = 1 is zero in the band
     Rth = PolyRing(F2, "theta")
     K = FracField(Rth)
     M = DrinfeldModule(F2, K, K.gen(), [K.one(), K.zero(), K.one()])
-    ec = exp_coeffs(M, 1)
-    series = [agf(M, f"Z{i + 1}", 1, ec) for i in range(3)]
-    kappa = moore_det(series, M.q)
-    assert not kappa.is_zero()
-    assert kappa == cofactor_det(moore_matrix(series, M.q))
+    for N in (1, 2):
+        ec = exp_coeffs(M, N)
+        series = [agf(M, f"Z{i + 1}", N, ec) for i in range(3)]
+        kappa = moore_det(series, M.q)
+        assert kappa.is_zero() == (N == 1)
+        assert_band_exact(kappa, cofactor_det(moore_matrix(series, M.q)))
 
 
 def test_moore_det_of_rank3_remainders_matches_cofactor():
@@ -360,10 +374,98 @@ def test_moore_det_of_rank3_remainders_matches_cofactor():
     K = FracField(Rth)
     M = DrinfeldModule(F2, K, K.gen(), [K.one(), K.zero(), K.one()])
     f = PolyRing(F2, "x").poly([1, 1, 1])
-    rems = [agf_mod(M, f, f"Z{i + 1}", 1) for i in range(3)]
-    kappa = moore_det(rems, M.q)
-    assert kappa == cofactor_det(moore_matrix(rems, M.q))
-    assert any(not c.is_zero() for c in kappa.coeffs)
+    for N in (1, 2):
+        rems = [agf_mod(M, f, f"Z{i + 1}", N) for i in range(3)]
+        kappa = moore_det(rems, M.q)
+        assert_band_exact(kappa, cofactor_det(moore_matrix(rems, M.q)))
+        assert any(not c.is_zero() for c in kappa.coeffs) == (N == 2)
+
+
+def _symbols_and_terms(data, syms, N, value):
+    """A nonempty set of the symbols, capped at N, and one or two
+    monomials of one or two factors within the caps, each with a
+    nonzero value drawn by value()."""
+    own = sorted(data.draw(st.sets(st.sampled_from(syms), min_size=1)))
+    factor = st.tuples(st.sampled_from(own), st.integers(0, N))
+    monos = data.draw(st.lists(st.lists(factor, min_size=1, max_size=2),
+                               min_size=1, max_size=2))
+    return {sym: N for sym in own}, {tuple(sorted(m)): value() for m in monos}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(1, 3), st.integers(0, 3),
+       st.sampled_from(["qexp", "remainder", "agf"]), st.data())
+def test_moore_det_is_the_unpruned_determinant_in_its_band(q, r, N, kind, data):
+    # oracle: the signed sum of the unpruned twist table, then pruned to
+    # the determinant's caps; entries share the cap N on every symbol
+    from drinfeld_weil.pairing import _signed_sum
+    F = make_field(q)
+    syms = [f"Z{i + 1}" for i in range(r)]
+    digit = st.integers(0, q - 1)
+
+    def poly(ring):
+        coeffs = data.draw(st.lists(digit, min_size=1, max_size=3))
+        return ring.poly(coeffs[:-1] + [data.draw(st.integers(1, q - 1))])
+
+    Rth = PolyRing(F, "theta")
+    K = FracField(Rth)
+    poles = {s: Rth.poly([1, 1]) for s in syms}
+
+    def qexp():
+        caps, terms = _symbols_and_terms(data, syms, N, lambda: poly(Rth))
+        return QExpansion(K, q, terms, caps, poles)
+
+    if kind == "qexp":
+        mus = [qexp() for _ in range(r)]
+    elif kind == "remainder":
+        f = PolyRing(F, "x").poly(data.draw(st.lists(digit, min_size=1, max_size=2)) + [1])
+        mus = [RemainderPoly(f, tuple(qexp() for _ in range(int(f.degree))))
+               for _ in range(r)]
+    else:
+        Kt = FracField(PolyRing(F, "t"))
+        mus = []
+        for _ in range(r):
+            caps, terms = _symbols_and_terms(
+                data, syms, N, lambda: Kt.frac(poly(Kt.ring), poly(Kt.ring)))
+            mus.append(TruncAGF(Kt, q, terms, caps))
+    kappa = moore_det(mus, q)
+    assert_band_exact(kappa, _signed_sum(moore_matrix(mus, q)))
+
+
+def test_main_theorem_forms_no_product_term_outside_the_band(monkeypatch):
+    # every product of two q-expansions in the bridge, on both sides,
+    # multiplies only monomials inside the operands' merged caps
+    from drinfeld_weil.tate import _merge_caps, _SymSeries, mono_mul
+    real = _SymSeries.__mul__
+    formed = []
+
+    def counting(self, other):
+        if isinstance(other, _SymSeries):
+            caps = _merge_caps(self.caps, other.caps)
+            formed.extend(mono_in_band(mono_mul(m1, m2), caps)
+                          for m1 in self.terms for m2 in other.terms)
+        return real(self, other)
+
+    monkeypatch.setattr(_SymSeries, "__mul__", counting)
+    for gs, N in [(((0, 1), (1,)), 2), (((1,), (), (1,)), 1), (((1,), (), (1,)), 2)]:
+        M = _bridge_module(3, gs)
+        rep = main_theorem_check(M, PolyRing(M.q_field, "x").poly([1, 0, 1]), M.rank, N)
+        assert rep["failures"] == []
+    assert formed and all(formed)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("gs", [((1,),), ((0, 1), (1,)), ((1,), (), (1,))])
+def test_bridge_left_side_is_nonzero_in_band_from_depth_rank_minus_one(q, gs):
+    # every Moore term twists one symbol r - 1 times, so below N = r - 1
+    # the left side is zero inside the band, and from there on it is not
+    M = _bridge_module(q, gs)
+    r = M.rank
+    fx = PolyRing(M.q_field, "x").poly([1, 1, 1])
+    E = exp_numerators(M, r)
+    for N in range(r + 1):
+        lhs = moore_det([agf_mod(M, fx, f"Z{i + 1}", N, E) for i in range(r)], q)
+        assert any(not c.prune().is_zero() for c in lhs.coeffs) == (N >= r - 1)
 
 
 # the (q, module, f, N) cells of the bridge benchmark, with g as
