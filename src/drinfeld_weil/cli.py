@@ -33,12 +33,12 @@ MATH_ERROR = 1
 # with more than MAX_OPERATOR_TERMS terms; deg(f)^rank bounds the count
 MAX_RANK = 1000
 MAX_OPERATOR_TERMS = 100_000
-# pairing refuses, before the torsion basis is built, a module whose
-# pairing could expand more than MAX_PAIRING_TERMS Moore terms:
-# deg(f)^rank operator terms, rank! permutations each.  With q = 2 and
-# deg f = 1, rank 7 (5,040) answers in 0.2 s, rank 8 takes 1.9 s and
-# rank 9 20 s (2-core container, Python 3.11); the cost of a term also
-# grows with the splitting field.
+# pairing refuses, before the torsion basis is built, a module with
+# deg(f)^rank * rank! > MAX_PAIRING_TERMS, the per-term route's count.
+# The pairing's one determinant sums rank! products of deg(f)-coefficient
+# remainders, so the count over-counts at deg f >= 2; it is kept, with
+# the inputs it admits.  With q = 2 and deg f = 1, rank 7 answers in
+# 0.05 s and rank 8 would take 0.5 s (2 cores, Python 3.11).
 MAX_PAIRING_TERMS = 10_000
 
 _MATH_ERRORS = (SplittingFieldTooLarge, BadCharacteristic, NotTorsion,

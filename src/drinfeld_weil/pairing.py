@@ -1,35 +1,36 @@
 """Moore determinants, the Drinfeld action on tensors, and the Weil
 pairing they induce.
 
-The pairing of r torsion points is the Moore determinant of the tensor
-action of the rank-r Weil operator:
+The pairing of r f-torsion points in L (n = deg f) is one coefficient
+of the Moore determinant of their f-remainders in L[t]/(f):
 
-    Weil_f(mu_1, ..., mu_r) = M(O_f^(r) diamond (mu_1 x ... x mu_r)),
+    Weil_f(mu_1, ..., mu_r) = [t^(n-1)] det(h_(mu_i)^(q^(j-1))),
 
-where M(mu_1, ..., mu_r) = det(mu_i^(q^(j-1))) and a monomial
-X_1^(a_1) ... X_r^(a_r) acts as phi_{x^{a_i}} on slot i.  moore_det is
-the package's one Moore determinant.  It takes concrete torsion points
-(field elements in a splitting extension), formal truncated
-q-expansions, truncated generating functions and f-remainders alike:
-a table of each entry's twists, then the signed sum over permutations.
-A truncated series' twists keep only the monomials inside its caps, so
-a determinant of series forms no term outside its guard band.
+h_mu = sum_(k<n) t^k phi_(b_k)(mu), b_k = dual_map(f, k); the twist
+fixes t.  The per-term route M(O_f^(r) diamond (mu_1 x ... x mu_r)),
+X_1^(a_1) ... X_r^(a_r) acting as phi_{x^{a_i}} on slot i, is
+diamond_moore: the bridge's operator side and the tests' oracle.
+moore_det is the package's one Moore determinant.  It takes concrete
+torsion points (field elements in a splitting extension), formal
+truncated q-expansions, truncated generating functions and
+f-remainders alike: a table of each entry's twists, then the signed
+sum over permutations.  A truncated series' twists keep only the
+monomials inside its caps, so a determinant of series forms no term
+outside its guard band.
 
 One table per argument holds its orbit and the orbit's twists: row k
 of _orbit_rows is v, v^q, ..., v^(q^(r-1)) for v = phi_x^k mu, and
 _phi_x_step forms the next point theta v + sum_i g_i v^(q^i) from
 those twists, for field elements and q-expansions alike.  Each orbit
-point is twisted once, and every one of the deg(f)^r operator terms
-is a signed sum over rows of that table.  weil_pairing reads its
-torsion check off the table's first column plus one step;
-diamond_moore shares the same per-term sum.
+point is twisted once.  weil_pairing reads its torsion check off the
+first column plus one step, and each remainder entry off the rows, as
+the twist is F_q-linear; each operator term is a row signed sum.
 
 The main bridge check compares the f-remainder of the Moore
 determinant of r generating functions against the operator side, slot
 by t-slot and monomial by monomial inside the truncation guard band.
 The operator side is weil_op_r(f, r + 1), its last variable read as t,
-and the part-2 pairing is weil_op_r(f, r); both read one table per
-argument.
+on one table per argument; the part-2 pairing is its top t-slot.
 It forms that left side as the Moore determinant of the generating
 functions' remainders in F_q(theta)[t]/(f); the determinant of the
 generating functions themselves, with values in K(t), followed by
@@ -48,7 +49,7 @@ import itertools
 from .errors import NotTorsion, TruncationTooShallow
 from .modules import DrinfeldModule, exp_numerators
 from .multipoly import MPoly
-from .polys import UniPoly
+from .polys import PolyRing, UniPoly
 from .tate import (QExpansion, RemainderPoly, _merge_caps, _SymSeries, agf_mod,
                    band_monomials, mono_str, theta_poly)
 from .weil_ops import weil_op_r
@@ -57,10 +58,10 @@ from .weil_ops import weil_op_r
 def moore_det(mus, q: int):
     """det(mu_i^(q^j))_{i,j<r}: F_q-multilinear and alternating.
 
-    A field element's twist is its q-th power; everything else
-    (q-expansions, generating functions, f-remainders) twists itself by
-    .frobenius(1).  The determinant is the signed sum over permutations
-    of the entries' twist table.
+    A field element's twist is its q-th power, a series (q-expansion or
+    generating function) twists itself by .frobenius(1), and an
+    f-remainder twists coefficient by coefficient.  The determinant is
+    the signed sum over permutations of the entries' twist table.
 
     Truncated series come back as exactly their guard band.  Each twist
     keeps only the monomials inside its untwisted entry's caps
@@ -80,14 +81,14 @@ def _twists(mu, q: int, r: int):
     (coefficient by coefficient for an f-remainder)."""
     row = [mu]
     for _ in range(r - 1):
-        row.append(_twist_in_band(row[-1], mu, q) if hasattr(mu, "frobenius")
-                   else row[-1] ** q)
+        row.append(_twist_in_band(row[-1], mu, q))
     return row
 
 
 def _twist_in_band(w, mu, q: int):
-    """w's twist pruned to mu's caps: the terms of w at a symbol's cap
-    are dropped before the twist would lift them past it."""
+    """w's q-th power; an f-remainder twists coefficient by coefficient,
+    and a series is pruned to mu's caps first: its terms at a symbol's
+    cap are dropped before the twist would lift them past it."""
     if isinstance(w, RemainderPoly):
         return RemainderPoly(w.f, tuple(_twist_in_band(c, d, q)
                                         for c, d in zip(w.coeffs, mu.coeffs)))
@@ -127,10 +128,16 @@ def _phi_x_step(M: DrinfeldModule, row):
     twisting past the row's end only as far as q^rank; a q-expansion
     keeps v's guard band, since every twist in the row is pruned to it."""
     twists = row + _twists(row[-1], M.q, M.rank + 2 - len(row))[1:]
+    return _combine((M.theta,) + M.g, twists, M.base.one())
+
+
+def _combine(cs, vs, one):
+    """sum_l vs[l] * cs[l], skipping zero coefficients and products by one."""
     acc = None
-    for c, w in zip((M.theta,) + M.g, twists):
+    for c, v in zip(cs, vs):
         if not c.is_zero():
-            acc = w * c if acc is None else acc + w * c
+            v = v if c == one else v * c
+            acc = v if acc is None else acc + v
     return acc
 
 
@@ -180,25 +187,35 @@ def weil_pairing(M: DrinfeldModule, f: UniPoly, mus):
     the exterior (rank-one) module.
 
     Each argument's twist table holds mu, phi_x mu, ..., phi_x^(n-1) mu
-    (n = deg f) and their twists, the points the operator's terms act
-    on.  Its first column and one more step give the torsion check,
-    phi_f mu = sum_k a_k phi_x^k mu for f = sum_k a_k x^k."""
+    (n = deg f) and their twists.  Its first column and one more step
+    give the torsion check, phi_f mu = sum_k a_k phi_x^k mu for f =
+    sum_k a_k x^k; the tables give the value (_remainder_det)."""
     if len(mus) != M.rank:
         raise ValueError("expected one argument per unit of rank")
     a = [M.embed_scalars(c) for c in f.coeffs]
-    one = M.base.one()
     tables = []
     for i, mu in enumerate(mus):
         rows = _orbit_rows(M, mu, len(a) - 1, M.rank)
         orbit = [row[0] for row in rows] + [_phi_x_step(M, rows[-1])]
-        phi_f_mu = M.base.zero()
-        for ak, v in zip(a, orbit):
-            if not ak.is_zero():
-                phi_f_mu = phi_f_mu + (v if ak == one else ak * v)
-        if not phi_f_mu.is_zero():
+        if not _combine(a, orbit, M.base.one()).is_zero():
             raise NotTorsion(f"argument {i + 1} is not f-torsion")
         tables.append(rows)
-    return _diamond_orbits(weil_op_r(f, M.rank), M, tables, None)
+    return _remainder_det(M, f, tables)
+
+
+def _remainder_det(M: DrinfeldModule, f: UniPoly, tables):
+    """[t^(n-1)] det(h_(mu_i)^(q^j)) from each argument's n-row
+    _orbit_rows table: entry (i, j) at t^k is sum_l a_(k+l+1)
+    (phi_x^l mu_i)^(q^j), f = sum_k a_k x^k.  At n = 1 it is over L."""
+    n = int(f.degree)
+    if n == 1:
+        return _signed_sum([rows[0] for rows in tables])
+    a = [M.embed_scalars(c) for c in f.coeffs]
+    one, f_l = M.base.one(), PolyRing(M.base, f.ring.var).poly(a)
+    entries = [[RemainderPoly(f_l, tuple(_combine(a[k + 1:], [row[j] for row in rows], one)
+                                         for k in range(n)))
+                for j in range(len(rows[0]))] for rows in tables]
+    return _signed_sum(entries).coeffs[n - 1]
 
 
 def main_theorem_check(M: DrinfeldModule, f: UniPoly, r: int, N: int) -> dict:
@@ -208,9 +225,10 @@ def main_theorem_check(M: DrinfeldModule, f: UniPoly, r: int, N: int) -> dict:
     generating functions equals the Moore determinant of the
     (r+1)-variable operator acting on the leading-coefficient tensor,
     t-slot by t-slot.  Part 2: the top slot equals the Weil pairing of
-    the leading coefficients.  Equality is asserted on every q-power
-    monomial inside the shared truncation guard band; mismatches are
-    reported per monomial, never forced.
+    the leading coefficients, read off the operator side's top t-slot,
+    since weil_op_r(f, r) is the top t-slot of weil_op_r(f, r + 1).
+    Equality is asserted on every q-power monomial inside the shared
+    truncation guard band; mismatches are reported per monomial.
 
     Remainders mod f commute with products and twists, so the left side
     is the Moore determinant of the generating functions' remainders,
@@ -225,15 +243,14 @@ def main_theorem_check(M: DrinfeldModule, f: UniPoly, r: int, N: int) -> dict:
     lhs_slots = moore_det(rems, M.q).coeffs
     cs = [h.coeffs[n - 1] for h in rems]
 
-    # the (r+1)-variable operator, its last variable t (n t-slots), and
-    # the rank-r operator both read rows k < n of one table per argument
+    # the (r+1)-variable operator, its last variable t (n t-slots), reads
+    # rows k < n of one table per argument
     tables = [_orbit_rows(M, c, n, r) for c in cs]
     rhs_slots = _diamond_orbits(weil_op_r(f, r + 1), M, tables, n)
-    pair_val = _diamond_orbits(weil_op_r(f, r), M, tables, None)
 
     failures = []
     checked = 0
-    checks = [(1, i, rhs_slots[i]) for i in range(n)] + [(2, n - 1, pair_val)]
+    checks = [(1, i, rhs_slots[i]) for i in range(n)] + [(2, n - 1, rhs_slots[n - 1])]
     for part, slot, rhs in checks:
         lhs = lhs_slots[slot]
         band = list(band_monomials(_merge_caps(lhs.caps, rhs.caps)))

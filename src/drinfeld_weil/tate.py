@@ -64,13 +64,13 @@ INF_CAP = 10 ** 9
 # Remainders.
 
 class RemainderPoly:
-    """Element of L[t]/(f), f monic over F_q: the coefficient tuple of its
-    representative of degree < deg f.
+    """Element of L[t]/(f), L a field or the q-expansions over F_q(theta):
+    the coefficient tuple of its representative of degree < deg f.  f is
+    monic over F_q; weil_pairing lifts it into L[t] by embed_scalars.
 
-    Coefficients are field elements or q-expansions.  Taking remainders
-    is a ring homomorphism that commutes with the twist, which raises
-    every coefficient to the q-th power (.frobenius for q-expansions) and
-    fixes t, since f has F_q coefficients."""
+    Taking remainders is a ring homomorphism that commutes with the
+    twist, which raises every coefficient to the q-th power and fixes t,
+    since f has F_q coefficients (pairing._twist_in_band)."""
 
     __slots__ = ("f", "coeffs")
 
@@ -116,13 +116,6 @@ class RemainderPoly:
             for j, c in low:
                 prod[k - n + j] = prod[k - n + j] - prod[k] * c
         return RemainderPoly(self.f, tuple(prod[:n]))
-
-    def frobenius(self, k: int):
-        """Twist coefficient-wise by q^k, q the order of f's field."""
-        qk = self.f.ring.field.order ** k
-        return RemainderPoly(self.f, tuple(
-            c.frobenius(k) if hasattr(c, "frobenius") else c ** qk
-            for c in self.coeffs))
 
 
 def ev_remainder(w, f: UniPoly) -> RemainderPoly:

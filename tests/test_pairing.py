@@ -1,10 +1,11 @@
 import functools
 import hashlib
+import itertools
 import json
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from drinfeld_weil import (DrinfeldModule, FracField, MPoly, MPolyRing,
                            PolyRing, agf, agf_mod, agf_remainder, ev_remainder,
@@ -245,13 +246,16 @@ def test_orbit_rows_match_iterated_phi_x(case, count, width, data):
 
 
 def test_operator_top_slot_matches_lower_rank():
-    Rx = PolyRing(F3, "x")
-    for coeffs in ([0, 1], [1, 1], [0, 0, 1], [1, 0, 1], [2, 1, 1]):
-        f = Rx.poly(coeffs)
-        n = int(f.degree)
-        ot = weil_op_r(f, 3)
-        o2 = weil_op_r(f, 2).inject(ot.ring, (0, 1))
-        assert ot.coeff_in_var(2, n - 1) == o2
+    # main_theorem_check reads its part-2 pairing off this slot
+    for q, r in itertools.product((2, 3), range(1, 5)):
+        Rx = PolyRing(make_field(q), "x")
+        for coeffs in ([0, 1], [1, 1], [0, 0, 1], [1, 0, 1], [q - 1, 1, 1],
+                       [1, 1, 0, 1], [0, q - 1, 1, 1]):
+            f = Rx.poly(coeffs)
+            n = int(f.degree)
+            ot = weil_op_r(f, r + 1)
+            o_r = weil_op_r(f, r).inject(ot.ring, tuple(range(r)))
+            assert ot.coeff_in_var(r, n - 1) == o_r
 
 
 def test_a_linearity_at_composite_modulus():
@@ -322,10 +326,16 @@ def cofactor_det(rows):
     return acc
 
 
+def twist(mu, q, j):
+    """mu^(q^j): a series twists itself, an f-remainder coefficient by
+    coefficient (t is fixed), a field element is raised to q^j."""
+    if isinstance(mu, RemainderPoly):
+        return RemainderPoly(mu.f, tuple(twist(c, q, j) for c in mu.coeffs))
+    return mu.frobenius(j) if hasattr(mu, "frobenius") else mu ** q ** j
+
+
 def moore_matrix(mus, q):
-    r = len(mus)
-    return [[mu.frobenius(j) if hasattr(mu, "frobenius") else mu ** q ** j
-             for j in range(r)] for mu in mus]
+    return [[twist(mu, q, j) for j in range(len(mus))] for mu in mus]
 
 
 F16 = make_field(2, 4)
@@ -682,8 +692,10 @@ def weil_pairing_per_term(M, f, mus):
 
 # (q, base degree m, theta, g, f): the ten modules of the pairing
 # benchmark (theta None means the base generator), a modulus with a
-# coefficient other than 0 and 1, then the smallest rank-4 case, which
-# splits in GF(2^7)
+# coefficient other than 0 and 1, four quadratic moduli with nonzero
+# lower coefficients (the last over F_4 = F_2[y]/(y^2 + y + 1), its
+# elements written as digit tuples: theta = y, f = x^2 + y x + y + 1),
+# then the smallest rank-4 case, which splits in GF(2^7)
 PAIRING_MODULES = (
     (2, 1, 1, (1, 1), (0, 0, 0, 1)),
     (3, 1, 1, (1, 1), (0, 0, 1)),
@@ -696,6 +708,10 @@ PAIRING_MODULES = (
     (2, 1, 1, (1, 0, 1), (0, 1)),
     (3, 1, 1, (1, 1, 1), (0, 1)),
     (3, 1, 2, (1, 1), (2, 1)),
+    (2, 1, 1, (0, 1), (1, 1, 1)),
+    (3, 1, 1, (0, 1), (1, 2, 1)),
+    (5, 1, 1, (0, 2), (2, 3, 1)),
+    (4, 1, (0, 1), (0, (0, 1)), ((1, 1), (0, 1), 1)),
     (2, 1, 1, (1, 1, 0, 1), (0, 1)),
 )
 
@@ -703,7 +719,7 @@ PAIRING_MODULES = (
 @functools.lru_cache(maxsize=None)
 def pairing_case(k):
     q, m, theta, g, f = PAIRING_MODULES[k]
-    qf = make_field(q)
+    qf = make_field(2, 2) if q == 4 else make_field(q)
     if m == 1:
         M = DrinfeldModule(qf, qf, qf.elem(theta), [qf.elem(c) for c in g])
     else:
@@ -723,13 +739,13 @@ def test_rank4_case_splits_in_gf_2_7():
 def draw_torsion_points(data, tb):
     """r points, each an F_q-combination of the basis drawn by hypothesis."""
     Mx = tb.module_ext
-    qf = tb.module.q_field
+    qf = list(tb.module.q_field.elements())
     mus = []
     for _ in range(Mx.rank):
         acc = tb.field_ext.zero()
         for pt in tb.points:
             c = data.draw(st.integers(0, Mx.q - 1))
-            acc = acc + Mx.embed_scalars(qf.elem(c)) * pt
+            acc = acc + Mx.embed_scalars(qf[c]) * pt
         mus.append(acc)
     return mus
 
@@ -751,7 +767,10 @@ def test_both_routes_name_the_perturbed_argument(k, data):
     mus = draw_torsion_points(data, tb)
     i = data.draw(st.integers(0, Mx.rank - 1))
     phi_f = Mx.phi_of(fx)
-    # a torsion point plus a non-torsion element is not torsion
+    # phi[f] is all of L for the q = 5 quadratic module (5^4 points in
+    # GF(5^4)); elsewhere a torsion point plus a non-torsion element is
+    # not torsion
+    assume(Mx.q ** len(tb.points) < tb.field_ext.order)
     w = tb.field_ext.gen()
     if phi_f.apply(w).is_zero():
         w = w + tb.field_ext.one()
@@ -776,18 +795,17 @@ def test_first_non_torsion_argument_is_named():
 
 
 def test_weil_pairing_cost_guard(monkeypatch):
-    # one pairing on GF(2^12), rank r = 2, f = x^3 (n = 3): each
-    # argument's n table rows take r - 1 twists and each of its n phi_x
-    # steps one more, r * r * n field powers in all, and no twisted
-    # products
+    # one pairing at rank r = 2 on GF(2^12) with f = x^3 (n = 3), and one
+    # on GF(2^3) with f = x (n = 1).  Each argument's n table rows take
+    # r - 1 twists and each of its n phi_x steps one more, r * r * n
+    # field powers in all.  The one Moore determinant of remainders makes
+    # r! * (r - 1) products in L[t]/(f) at n >= 2 and none at n = 1; no
+    # operator is built, and no twisted or multivariate product is formed
+    import drinfeld_weil.pairing as pairing_mod
+    from drinfeld_weil import weil_ops
     from drinfeld_weil.fields import FieldElem
     from drinfeld_weil.twisted import TwistedPoly
-    fx, tb = pairing_case(0)
-    Mx = tb.module_ext
-    assert (tb.field_ext.p, tb.field_ext.e) == (2, 12)
-    r, n = Mx.rank, int(fx.degree)
-    mus = [tb.points[0], tb.points[-1]]
-    counts = {"pow": 0, "tmul": 0}
+    counts = {}
 
     def counting(name, fn):
         def wrapper(*args):
@@ -795,10 +813,89 @@ def test_weil_pairing_cost_guard(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(FieldElem, "__pow__", counting("pow", FieldElem.__pow__))
-    monkeypatch.setattr(TwistedPoly, "__mul__", counting("tmul", TwistedPoly.__mul__))
-    value = weil_pairing(Mx, fx, mus)
-    monkeypatch.undo()
-    assert counts["tmul"] == 0
-    assert counts["pow"] == r * r * n == 12
-    assert value == weil_pairing_per_term(Mx, fx, mus)
+    for k, n, field_e, remainder_products, powers in [(0, 3, 12, 2, 12), (2, 1, 3, 0, 4)]:
+        fx, tb = pairing_case(k)
+        Mx = tb.module_ext
+        r = Mx.rank
+        assert (r, int(fx.degree), tb.field_ext.p, tb.field_ext.e) == (2, n, 2, field_e)
+        mus = [tb.points[0], tb.points[-1]]
+        counts.update(pow=0, tmul=0, mmul=0, rmul=0, op=0)
+        monkeypatch.setattr(FieldElem, "__pow__", counting("pow", FieldElem.__pow__))
+        monkeypatch.setattr(TwistedPoly, "__mul__", counting("tmul", TwistedPoly.__mul__))
+        monkeypatch.setattr(MPoly, "__mul__", counting("mmul", MPoly.__mul__))
+        monkeypatch.setattr(RemainderPoly, "__mul__",
+                            counting("rmul", RemainderPoly.__mul__))
+        for mod in (pairing_mod, weil_ops):
+            monkeypatch.setattr(mod, "weil_op_r", counting("op", weil_op_r))
+        value = weil_pairing(Mx, fx, mus)
+        monkeypatch.undo()
+        assert counts["tmul"] == counts["mmul"] == counts["op"] == 0
+        assert counts["rmul"] == remainder_products == (n > 1) * 2 * (r - 1)
+        assert counts["pow"] == powers == r * r * n
+        assert value == weil_pairing_per_term(Mx, fx, mus)
+
+
+def test_main_theorem_builds_one_operator(monkeypatch):
+    # part 2 is the top t-slot of weil_op_r(f, r + 1): the rank-r
+    # operator is never built
+    import drinfeld_weil.pairing as pairing_mod
+    ranks = []
+
+    def recording(f, r):
+        ranks.append(r)
+        return weil_op_r(f, r)
+
+    monkeypatch.setattr(pairing_mod, "weil_op_r", recording)
+    for gs in (((1,),), ((0, 1), (1,)), ((1,), (), (1,))):
+        M = _bridge_module(3, gs)
+        ranks.clear()
+        rep = main_theorem_check(M, PolyRing(M.q_field, "x").poly([1, 0, 1]), M.rank, 1)
+        assert rep["failures"] == []
+        assert ranks == [M.rank + 1]
+
+
+def _bridge_sides(q, name, f, N):
+    """The bridge's pieces for one BRIDGE_CELLS cell: the module, f, the
+    generating-function remainders, one orbit table per top coefficient
+    c_i, and both sides' t-slots."""
+    from drinfeld_weil.pairing import _diamond_orbits, _orbit_rows
+    M = _bridge_module(q, BRIDGE_MODULES[name])
+    fx = PolyRing(M.q_field, "x").poly(f)
+    n, r = int(fx.degree), M.rank
+    rems = [agf_mod(M, fx, f"Z{i + 1}", N) for i in range(r)]
+    tables = [_orbit_rows(M, h.coeffs[n - 1], n, r) for h in rems]
+    lhs = moore_det(rems, q).coeffs
+    rhs = _diamond_orbits(weil_op_r(fx, r + 1), M, tables, n)
+    return M, fx, rems, tables, lhs, rhs
+
+
+def test_remainder_determinant_is_the_bridge_top_slot():
+    # the third picture: [t^(n-1)] det(h_(c_i)^(q^j)), built from the
+    # q-expansion tables of the top coefficients c_i, is the operator
+    # side's top t-slot and the left side's, on every band monomial
+    from drinfeld_weil.pairing import _remainder_det
+    from drinfeld_weil.tate import _merge_caps, band_monomials
+    for cell in BRIDGE_CELLS:
+        M, fx, _, tables, lhs, rhs = _bridge_sides(*cell)
+        n = int(fx.degree)
+        val = _remainder_det(M, fx, tables)
+        band = list(band_monomials(_merge_caps(lhs[n - 1].caps, rhs[n - 1].caps)))
+        assert band
+        for m in band:
+            assert val.coeff(m) == rhs[n - 1].coeff(m) == lhs[n - 1].coeff(m)
+
+
+def test_agf_mod_slots_are_torsion_remainders():
+    # e(a z) = phi_a(e(z)): slot k of a generating function's remainder
+    # is phi_(b_k)(c) = sum_l a_(k+l+1) phi_x^l(c), c its top slot
+    from drinfeld_weil.tate import band_monomials
+    for cell in BRIDGE_CELLS:
+        M, fx, rems, tables, _, _ = _bridge_sides(*cell)
+        a = [M.embed_scalars(c) for c in fx.coeffs]
+        n = len(a) - 1
+        for h, rows in zip(rems, tables):
+            for k, slot in enumerate(h.coeffs):
+                terms = [rows[l][0] * a[k + l + 1] for l in range(n - k)]
+                want = sum(terms[1:], start=terms[0])
+                for m in band_monomials(slot.caps):
+                    assert slot.coeff(m) == want.coeff(m)
