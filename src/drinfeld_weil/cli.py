@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .errors import (BadCharacteristic, NotATree, NotInvertibleModF,
@@ -34,12 +33,10 @@ MATH_ERROR = 1
 MAX_RANK = 1000
 MAX_OPERATOR_TERMS = 100_000
 # pairing refuses, before the torsion basis is built, a module with
-# deg(f)^rank * rank! > MAX_PAIRING_TERMS, the per-term route's count.
-# The pairing's one determinant sums rank! products of deg(f)-coefficient
-# remainders, so the count over-counts at deg f >= 2; it is kept, with
-# the inputs it admits.  With q = 2 and deg f = 1, rank 7 answers in
-# 0.05 s and rank 8 would take 0.5 s (2 cores, Python 3.11).
-MAX_PAIRING_TERMS = 10_000
+# deg(f)^2 * rank * 2^(rank-1) > MAX_PAIRING_PRODUCTS: its determinant makes
+# under rank * 2^(rank-1) remainder products, deg(f)^2 coefficient products each
+MAX_PAIRING_PRODUCTS = 100_000
+MAX_CASES = 200  # verify --cases: the largest default per-family count
 
 _MATH_ERRORS = (SplittingFieldTooLarge, BadCharacteristic, NotTorsion,
                 NotInvertibleModF, PoleOnModulus, NotATree,
@@ -192,9 +189,10 @@ def cmd_pairing(args) -> int:
     M = _module_from_args(args)
     f = _modulus_poly(args, M.q_field)
     n, r = int(f.degree), M.rank
-    if n ** r * math.factorial(r) > MAX_PAIRING_TERMS:
-        raise UsageError(f"pairing would expand up to deg(f)^rank * rank! = "
-                         f"{n}^{r} * {r}! Moore terms, more than {MAX_PAIRING_TERMS}")
+    if n * n * r * 2 ** (r - 1) > MAX_PAIRING_PRODUCTS:
+        raise UsageError(f"pairing would form deg(f)^2 * rank * 2^(rank-1) = "
+                         f"{n}^2 * {r} * 2^{r - 1} coefficient products, "
+                         f"more than {MAX_PAIRING_PRODUCTS}")
     tb = torsion_basis(M, f)
     Mx = tb.module_ext
     mus = []
@@ -230,6 +228,8 @@ def cmd_verify(args) -> int:
         return USAGE_ERROR
     if args.cases is not None and args.cases < 1:
         raise UsageError("--cases must be >= 1")
+    if args.cases is not None and args.cases > MAX_CASES:
+        raise UsageError(f"--cases must be <= {MAX_CASES}")
     reports = run_suite(args.suite, seed=args.seed, cases=args.cases)
     failures = sum(len(r["failures"]) for r in reports)
     body = reports[0] if len(reports) == 1 else reports
@@ -293,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="one of: " + ", ".join(sorted(SUITES) + ["all"]))
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--cases", type=int, default=None,
-                   help="override the per-family case count")
+                   help=f"override the per-family case count (1 to {MAX_CASES})")
     v.add_argument("--format", choices=("text", "json"), default="json")
     v.set_defaults(func=cmd_verify)
 

@@ -380,6 +380,14 @@ def test_verify_cases_below_one_exit_2(capsys):
         assert err == "error: --cases must be >= 1\n"
 
 
+def test_verify_cases_above_bound_exit_2_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--cases", "201")
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err == "error: --cases must be <= 200\n"
+
+
 def test_verify_trunc_is_not_an_option(capsys):
     # suites pin their own truncation depths; argparse exits with code 2
     with pytest.raises(SystemExit) as exc:
@@ -401,21 +409,23 @@ def _unit_selectors(rank):
 
 
 def test_pairing_oversized_rank_exit_2_fast(capsys):
-    # phi_x = 1 + tau^12 over F_2, f = x: torsion answers with s = 12, but
-    # the pairing would sum 12! permutations per Moore determinant
+    # phi_x = 1 + tau^14 over GF(2^2), f = x: the determinant would form
+    # 14 * 2^13 products, so the pairing exits before the torsion basis
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "pairing", "--q", "2", "--field-ext", "2",
+                             "--theta", "1", *["--g", "0"] * 13, "--g", "1",
+                             "--f", "0,1", *_unit_selectors(14))
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 2 and out == ""
+    assert err == ("error: pairing would form deg(f)^2 * rank * 2^(rank-1) = "
+                   "1^2 * 14 * 2^13 coefficient products, more than 100000\n")
+
+
+def test_pairing_bound_admits_its_largest_cell(capsys):
+    # rank 12 with deg f = 1: 12 * 2^11 = 24,576 products, under the bound
     t0 = time.perf_counter()
     code, out, err = run_cli(capsys, "pairing", "--q", "2", "--theta", "1",
                              *["--g", "0"] * 11, "--g", "1", "--f", "0,1",
                              *_unit_selectors(12))
     assert time.perf_counter() - t0 < 1.0
-    assert code == 2 and out == ""
-    assert err == ("error: pairing would expand up to deg(f)^rank * rank! = "
-                   "1^12 * 12! Moore terms, more than 10000\n")
-
-
-def test_pairing_bound_admits_its_largest_cell(capsys):
-    # rank 7 with deg f = 1: 7! = 5040 Moore terms, under the bound
-    code, out, err = run_cli(capsys, "pairing", "--q", "2", "--theta", "1",
-                             *["--g", "0"] * 6, "--g", "1", "--f", "0,1",
-                             *_unit_selectors(7))
     assert (code, out, err) == (0, "W = 1\npsi_f(W) = 0: True\n", "")

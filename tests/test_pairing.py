@@ -326,6 +326,19 @@ def cofactor_det(rows):
     return acc
 
 
+def perm_det(rows):
+    """The signed sum over permutations of prod_i rows[i][perm[i]]."""
+    acc = None
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        prod = rows[0][perm[0]]
+        for i in range(1, len(rows)):
+            prod = prod * rows[i][perm[i]]
+        prod = -prod if inversions % 2 else prod
+        acc = prod if acc is None else acc + prod
+    return acc
+
+
 def twist(mu, q, j):
     """mu^(q^j): a series twists itself, an f-remainder coefficient by
     coefficient (t is fixed), a field element is raised to q^j."""
@@ -343,14 +356,15 @@ F9 = make_field(3, 2)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([(F16, 2), (F9, 3)]), st.integers(3, 4), st.data())
+@given(st.sampled_from([(F16, 2), (F9, 3)]), st.integers(1, 6), st.data())
 def test_moore_det_matches_cofactor_expansion(field_q, r, data):
     field, q = field_q
     coeffs = st.lists(st.integers(0, field.p - 1), min_size=field.e,
                       max_size=field.e)
     mus = [field.elem(c) for c in data.draw(st.lists(coeffs, min_size=r,
                                                      max_size=r))]
-    assert moore_det(mus, q) == cofactor_det(moore_matrix(mus, q))
+    table = moore_matrix(mus, q)
+    assert moore_det(mus, q) == cofactor_det(table) == perm_det(table)
 
 
 def assert_band_exact(kappa, oracle):
@@ -403,12 +417,11 @@ def _symbols_and_terms(data, syms, N, value):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([2, 3]), st.integers(1, 3), st.integers(0, 3),
+@given(st.sampled_from([2, 3]), st.integers(1, 4), st.integers(0, 3),
        st.sampled_from(["qexp", "remainder", "agf"]), st.data())
 def test_moore_det_is_the_unpruned_determinant_in_its_band(q, r, N, kind, data):
     # oracle: the signed sum of the unpruned twist table, then pruned to
     # the determinant's caps; entries share the cap N on every symbol
-    from drinfeld_weil.pairing import _signed_sum
     F = make_field(q)
     syms = [f"Z{i + 1}" for i in range(r)]
     digit = st.integers(0, q - 1)
@@ -439,7 +452,7 @@ def test_moore_det_is_the_unpruned_determinant_in_its_band(q, r, N, kind, data):
                 data, syms, N, lambda: Kt.frac(poly(Kt.ring), poly(Kt.ring)))
             mus.append(TruncAGF(Kt, q, terms, caps))
     kappa = moore_det(mus, q)
-    assert_band_exact(kappa, _signed_sum(moore_matrix(mus, q)))
+    assert_band_exact(kappa, perm_det(moore_matrix(mus, q)))
 
 
 def test_main_theorem_forms_no_product_term_outside_the_band(monkeypatch):
@@ -549,6 +562,22 @@ def test_main_theorem_deeper_cells_over_f3(gs, f, N):
     rep = main_theorem_check(M, PolyRing(M.q_field, "x").poly(f), M.rank, N)
     assert time.perf_counter() - t0 < 5.0
     assert rep["failures"] == [] and rep["monomials_checked"] > 0
+
+
+@pytest.mark.parametrize("q, gs, f, N", [
+    (2, ((1,), (), (), (1,)), [0, 1], 3),         # rank 4, g = (1, 0, 0, 1)
+    (3, ((1,), (), (), (1,)), [1, 0, 1], 3),
+    (2, ((1,), (), (), (), (1,)), [0, 1], 4),     # rank 5, g = (1, 0, 0, 0, 1)
+])
+def test_main_theorem_deep_cells_within_budget(q, gs, f, N):
+    # N = r - 1 is the first depth at which the cell is not vacuous
+    M = _bridge_module(q, gs)
+    fx = PolyRing(M.q_field, "x").poly(f)
+    t0 = time.perf_counter()
+    rep = main_theorem_check(M, fx, M.rank, N)
+    assert time.perf_counter() - t0 < 1.5
+    assert rep["failures"] == []
+    assert rep["monomials_checked"] == (int(fx.degree) + 1) * (N + 1) ** M.rank
 
 
 def test_main_theorem_pole_on_modulus():
@@ -695,7 +724,8 @@ def weil_pairing_per_term(M, f, mus):
 # coefficient other than 0 and 1, four quadratic moduli with nonzero
 # lower coefficients (the last over F_4 = F_2[y]/(y^2 + y + 1), its
 # elements written as digit tuples: theta = y, f = x^2 + y x + y + 1),
-# then the smallest rank-4 case, which splits in GF(2^7)
+# a rank-5 case with f = x^2, which splits in GF(2^10), then the
+# smallest rank-4 case, which splits in GF(2^7)
 PAIRING_MODULES = (
     (2, 1, 1, (1, 1), (0, 0, 0, 1)),
     (3, 1, 1, (1, 1), (0, 0, 1)),
@@ -712,6 +742,7 @@ PAIRING_MODULES = (
     (3, 1, 1, (0, 1), (1, 2, 1)),
     (5, 1, 1, (0, 2), (2, 3, 1)),
     (4, 1, (0, 1), (0, (0, 1)), ((1, 1), (0, 1), 1)),
+    (2, 1, 1, (0, 0, 0, 0, 1), (0, 0, 1)),
     (2, 1, 1, (1, 1, 0, 1), (0, 1)),
 )
 
@@ -795,12 +826,14 @@ def test_first_non_torsion_argument_is_named():
 
 
 def test_weil_pairing_cost_guard(monkeypatch):
-    # one pairing at rank r = 2 on GF(2^12) with f = x^3 (n = 3), and one
-    # on GF(2^3) with f = x (n = 1).  Each argument's n table rows take
-    # r - 1 twists and each of its n phi_x steps one more, r * r * n
-    # field powers in all.  The one Moore determinant of remainders makes
-    # r! * (r - 1) products in L[t]/(f) at n >= 2 and none at n = 1; no
-    # operator is built, and no twisted or multivariate product is formed
+    # one pairing at rank r = 2 on GF(2^12) with f = x^3 (n = 3), one on
+    # GF(2^3) with f = x (n = 1), and one at rank 5 on GF(2^10) with
+    # f = x^2.  Each argument's n table rows take r - 1 twists and each of
+    # its n phi_x steps one more, r * r * n field powers in all.  The one
+    # Moore determinant of remainders makes r(2^(r-1) - 1) products in
+    # L[t]/(f) at n >= 2 (75 at rank 5, against r! (r - 1) = 480 for the
+    # permutation sum) and none at n = 1; no operator is built, and no
+    # twisted or multivariate product is formed
     import drinfeld_weil.pairing as pairing_mod
     from drinfeld_weil import weil_ops
     from drinfeld_weil.fields import FieldElem
@@ -813,12 +846,14 @@ def test_weil_pairing_cost_guard(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for k, n, field_e, remainder_products, powers in [(0, 3, 12, 2, 12), (2, 1, 3, 0, 4)]:
+    rank5 = len(PAIRING_MODULES) - 2
+    for k, r, n, field_e, picks, remainder_products, powers in [
+            (0, 2, 3, 12, (0, -1), 2, 12), (2, 2, 1, 3, (0, -1), 0, 4),
+            (rank5, 5, 2, 10, (5, 6, 7, 8, 9), 75, 50)]:
         fx, tb = pairing_case(k)
         Mx = tb.module_ext
-        r = Mx.rank
-        assert (r, int(fx.degree), tb.field_ext.p, tb.field_ext.e) == (2, n, 2, field_e)
-        mus = [tb.points[0], tb.points[-1]]
+        assert (Mx.rank, int(fx.degree), tb.field_ext.p, tb.field_ext.e) == (r, n, 2, field_e)
+        mus = [tb.points[i] for i in picks]
         counts.update(pow=0, tmul=0, mmul=0, rmul=0, op=0)
         monkeypatch.setattr(FieldElem, "__pow__", counting("pow", FieldElem.__pow__))
         monkeypatch.setattr(TwistedPoly, "__mul__", counting("tmul", TwistedPoly.__mul__))
@@ -830,8 +865,9 @@ def test_weil_pairing_cost_guard(monkeypatch):
         value = weil_pairing(Mx, fx, mus)
         monkeypatch.undo()
         assert counts["tmul"] == counts["mmul"] == counts["op"] == 0
-        assert counts["rmul"] == remainder_products == (n > 1) * 2 * (r - 1)
+        assert counts["rmul"] == remainder_products == (n > 1) * r * (2 ** (r - 1) - 1)
         assert counts["pow"] == powers == r * r * n
+        assert not value.is_zero()
         assert value == weil_pairing_per_term(Mx, fx, mus)
 
 
