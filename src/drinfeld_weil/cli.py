@@ -160,12 +160,32 @@ def cmd_weil_op(args) -> int:
     if args.format == "latex":
         print(op.latex())
     elif args.format == "json":
-        terms = [[list(exps), list(coeff.coeffs)]
-                 for exps, coeff in sorted(op.terms.items())]
-        print(json.dumps({"vars": list(op.ring.names), "terms": terms}))
+        print(_weil_op_json(op))
     else:
         print(op.text())
     return 0
+
+
+def _weil_op_json(op) -> str:
+    """{"vars": [...], "terms": [[exps, digits], ...]} as json.dumps
+    writes it, the terms in ascending exponent order as weil_op_r gives
+    them.  Neighbouring terms share their head exps[:-1], whose
+    "[[k1, k2, " prefix is formed once per head; each (last exponent,
+    coefficient) tail "i], [d0, d1]]" is formed once and serves every
+    permutation of its multiset."""
+    tails = {}
+    parts = []
+    head = prefix = None
+    for exps, c in op.terms.items():
+        if exps[:-1] != head:
+            head = exps[:-1]
+            prefix = "[[" + ", ".join(map(str, head)) + ", " if head else "[["
+        key = (exps[-1], c.v)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = f"{exps[-1]}], {json.dumps(list(c.coeffs))}]"
+        parts.append(prefix + tail)
+    return f'{{"vars": {json.dumps(list(op.ring.names))}, "terms": [{", ".join(parts)}]}}'
 
 
 def cmd_torsion(args) -> int:
@@ -300,8 +320,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = None  # built by the first main() call, not at import
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    parser = _PARSER
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -290,9 +290,9 @@ class FieldElem:
         return f"FieldElem({self})"
 
     def __str__(self):
-        coeffs = self.coeffs
         if self.field.e == 1:
-            return str(coeffs[0])
+            return str(self.v)
+        coeffs = self.coeffs
         parts = []
         for k in range(self.field.e - 1, -1, -1):
             a = coeffs[k]

@@ -177,27 +177,38 @@ class UniPoly:
         if isinstance(other, UniPoly):
             if other.ring != ring:
                 raise ValueError("polynomial ring mismatch")
-            if not self._c or not other._c:
+            a, b = self._c, other._c
+            if len(a) == 1:
+                return other._scale(a[0])
+            if len(b) == 1:
+                return self._scale(b[0])
+            if not a or not b:
                 return ring.zero()
             if p is not None:
                 # the leading coefficient is a product of units mod p
-                return UniPoly(ring, tuple([c % p for c in _pmul(self._c, other._c)]))
+                return UniPoly(ring, tuple([c % p for c in _pmul(a, b)]))
             zero = ring.field.zero()
-            out = [zero] * (len(self._c) + len(other._c) - 1)
-            for i, a in enumerate(self._c):
-                if a.is_zero():
+            out = [zero] * (len(a) + len(b) - 1)
+            for i, x in enumerate(a):
+                if x.is_zero():
                     continue
-                for j, b in enumerate(other._c):
-                    out[i + j] = out[i + j] + a * b
+                for j, y in enumerate(b):
+                    out[i + j] = out[i + j] + x * y
             return ring.poly(out)
-        # scalar
         c = ring.field.coerce(other)
-        if p is not None:
-            c = c.v
-            return UniPoly(ring, tuple([a * c % p for a in self._c]) if c else ())
-        return ring.poly([a * c for a in self._c])
+        return self._scale(c if p is None else c.v)
 
     __rmul__ = __mul__
+
+    def _scale(self, c):
+        """self times the constant c, held as the coefficients are; over
+        F_p c is an int in [0, p), and a product by 1 is self."""
+        ring, p = self.ring, self.ring.p
+        if p is None:
+            return ring.poly([a * c for a in self._c])
+        if c == 1:
+            return self
+        return UniPoly(ring, tuple([a * c % p for a in self._c]) if c else ())
 
     def __pow__(self, n: int):
         if n < 0:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import NotATree
+from .fields import FieldElem, _pdivmod, _pmul
 from .multipoly import MPoly, MPolyRing
 from .polys import UniPoly
 
@@ -73,25 +74,44 @@ def weil_op_r(f: UniPoly, r: int) -> MPoly:
     The coefficient of X_1^{k_1} ... X_{r-1}^{k_{r-1}} is prod_j b_{k_j}
     mod f with b_k = D_f(t^k); each product is formed once, for the
     sorted index tuple, by extending shorter products one factor at a
-    time."""
+    time.  The terms come in ascending exponent order, the order in
+    which `weil-op --format json` writes them."""
     if r < 1:
         raise ValueError("rank must be >= 1")
-    ring = op_ring(f.ring.field, r)
+    field = f.ring.field
+    ring = op_ring(field, r)
     if r == 1:
         return ring.one()
     n = int(f.degree)
-    b = [dual_map(f, k) for k in range(n)]
+    p = f.ring.p
+    if p is None:
+        b = [dual_map(f, k) for k in range(n)]
+
+        def times(pk, k):
+            return (pk * b[k]) % f
+
+        def nonzero(pk):
+            return [(i, c) for i, c in enumerate(pk.coeffs) if c]
+    else:
+        # over F_p the chain runs on int lists, one remainder of the
+        # unreduced product per factor
+        b = [dual_map(f, k)._c for k in range(n)]
+
+        def times(pk, k):
+            return _pdivmod(_pmul(pk, b[k]), f._c, p)[1]
+
+        def nonzero(pk):
+            return [(i, FieldElem(field, c)) for i, c in enumerate(pk) if c]
     prods = {(k,): bk for k, bk in enumerate(b)}
     for _ in range(r - 2):
-        prods = {ks + (k,): (pk * b[k]) % f
+        prods = {ks + (k,): times(pk, k)
                  for ks, pk in prods.items() for k in range(ks[-1], n)}
     # each product's nonzero (index, coefficient) list, read once and
     # shared by every permutation of its multiset
-    nonzero = {ks: [(i, c) for i, c in enumerate(pk.coeffs) if c]
-               for ks, pk in prods.items()}
+    rows = {ks: nonzero(pk) for ks, pk in prods.items()}
     terms = {}
     for ks in itertools.product(range(n), repeat=r - 1):
-        for i, c in nonzero[tuple(sorted(ks))]:
+        for i, c in rows[tuple(sorted(ks))]:
             terms[ks + (i,)] = c
     return MPoly(ring, terms)
 

@@ -1,10 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from drinfeld_weil.cli import main
+from drinfeld_weil import PolyRing, make_field
+from drinfeld_weil import cli
+from drinfeld_weil.cli import MAX_OPERATOR_TERMS, main
+from drinfeld_weil.weil_ops import weil_op_r
 
 
 def run_cli(capsys, *argv):
@@ -120,6 +129,102 @@ def test_weil_op_output_pinned(capsys):
             assert code == 0
             h.update(out.encode())
         assert h.hexdigest() == expected, fmt
+
+
+def _main_output(argv):
+    """(exit code, stdout, stderr) of one main() call, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def weil_op_json_oracle(q, f, r):
+    """`weil-op --format json` output as json.dumps writes it from the
+    operator's sorted terms."""
+    p, e = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 9: (3, 2)}[q]
+    field = make_field(p, e)
+    digits = [field.elem([c // p ** i % p for i in range(e)]) for c in f]
+    op = weil_op_r(PolyRing(field, "t").poly(digits), r)
+    terms = [[list(exps), list(c.coeffs)] for exps, c in sorted(op.terms.items())]
+    return json.dumps({"vars": list(op.ring.names), "terms": terms}) + "\n"
+
+
+@st.composite
+def _weil_op_cell(draw):
+    # sparse f (zero lower coefficients) leaves whole heads without terms
+    q = draw(st.sampled_from((2, 3, 4, 5, 7, 9)))
+    r = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 5))
+    coeff = st.one_of(st.just(0), st.integers(0, q - 1))
+    f = draw(st.lists(coeff, min_size=n, max_size=n)) + [1]
+    return q, f, r
+
+
+@settings(max_examples=100, deadline=None)
+@given(_weil_op_cell())
+# rank 1 (an empty head), f = x^n (heads whose product vanishes) and F_4
+# and F_9 digits at the largest ranks
+@example((3, [1, 0, 1], 1))
+@example((9, [8, 1], 1))
+@example((2, [0, 0, 0, 1], 4))
+@example((9, [0, 0, 0, 0, 0, 1], 6))
+@example((4, [3, 2, 1, 0, 2, 1], 6))
+def test_weil_op_json_matches_json_dumps_oracle(cell):
+    q, f, r = cell
+    assert (len(f) - 1) ** r <= MAX_OPERATOR_TERMS
+    code, out, err = _main_output(["weil-op", "--q", str(q), "--f", ",".join(map(str, f)),
+                                   "--rank", str(r), "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out == weil_op_json_oracle(q, f, r)
+
+
+# a usage error of argparse and of the program, a --g list longer than the
+# next call's, and weil-op in every format
+PARSER_REUSE_CALLS = (
+    ["weil-op", "--q", "3", "--f", "1,0,1"],
+    ["weil-op", "--q", "6", "--f", "1,0,1", "--rank", "2"],
+    ["torsion", "--q", "2", "--field-ext", "2", "--theta", "0,1", "--g", "1", "--g", "1",
+     "--f", "0,1"],
+    ["torsion", "--q", "2", "--field-ext", "2", "--theta", "0,1", "--g", "1", "--f", "0,1"],
+    ["weil-op", "--q", "3", "--f", "2,1,0,1", "--rank", "3"],
+    ["weil-op", "--q", "9", "--f", "5,1,1", "--rank", "3", "--format", "json"],
+    ["weil-op", "--q", "5", "--f", "2,0,1", "--rank", "4", "--format", "latex"],
+    ["weil-op", "--q", "3", "--f", "2,1,0,1", "--rank", "3", "--format", "text"],
+)
+
+
+def test_one_parser_serves_every_call(monkeypatch):
+    fresh = []
+    for argv in PARSER_REUSE_CALLS:
+        monkeypatch.setattr(cli, "_PARSER", None)
+        fresh.append(_main_output(argv))
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_PARSER", None)
+    reused = [_main_output(argv) for argv in PARSER_REUSE_CALLS]
+    assert len(built) == 1
+    assert [code for code, _, _ in fresh] == [2, 2, 0, 0, 0, 0, 0, 0]
+    assert json.loads(fresh[2][1])["cardinality"] != json.loads(fresh[3][1])["cardinality"]
+    assert reused == fresh
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = ("import argparse, sys\n"
+            "sys.path.insert(0, 'src')\n"
+            "built = []\n"
+            "init = argparse.ArgumentParser.__init__\n"
+            "argparse.ArgumentParser.__init__ = "
+            "lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+            "import drinfeld_weil.cli as cli\n"
+            "assert cli._PARSER is None and not built, built\n")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).resolve().parent.parent,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_q_not_a_prime_power_exit_2(capsys):

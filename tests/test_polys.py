@@ -7,6 +7,7 @@ from drinfeld_weil import (FracField, PolyRing, inv_mod, is_irreducible_poly,
                            laurent_at_infinity, make_field, poly_gcd,
                            residue_at_infinity, residue_at_point)
 from drinfeld_weil.errors import NotInvertibleModF
+from drinfeld_weil.fields import _pmul
 from drinfeld_weil.polys import NEG_INF, RatFunc
 from drinfeld_weil.weil_ops import dual_map
 
@@ -414,3 +415,38 @@ def test_ratfunc_sum_and_product_match_reduce_after(case):
     assert x * y == RatFunc(K, x.num * y.num, x.den * y.den)
     for z in (x + y, x * y):
         assert z.den.is_monic() and poly_gcd(z.num, z.den).degree == 0
+
+
+_SCALAR_RINGS = [PolyRing(make_field(*pe), "t") for pe in ((2, 1), (3, 1), (59023, 1),
+                                                            (2, 2), (3, 2))]
+
+
+@st.composite
+def _constant_times_poly(draw):
+    # one factor of length 0 or 1, often the constant 1, on either side
+    ring = draw(st.sampled_from(_SCALAR_RINGS))
+    F = ring.field
+    elem = st.one_of(st.just(F.one()),
+                     st.lists(st.integers(0, F.p - 1), min_size=F.e, max_size=F.e).map(F.elem))
+    short = draw(st.lists(elem, min_size=0, max_size=1))
+    other = draw(st.lists(elem, min_size=0, max_size=6))
+    return (ring, short, other) if draw(st.booleans()) else (ring, other, short)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_constant_times_poly())
+def test_products_by_constants_match_the_convolution(case):
+    ring, ac, bc = case
+    a, b = ring.poly(ac), ring.poly(bc)
+    want = ring.poly(_pmul(ac, bc))
+    got = a * b
+    assert got == want and hash(got) == hash(want) and str(got) == str(want)
+    for x in ac[:1]:
+        # a field element and its int digit act as the constant polynomial
+        assert b * x == x * b == ring.poly(_pmul([x], bc))
+        if ring.p is not None:
+            assert b * x.v == x.v * b == ring.poly(_pmul([x], bc))
+    if ring.p is not None and b.degree >= 1:
+        # over F_p a product by the polynomial 1 is the other operand
+        one = ring.one()
+        assert one * b is b and b * one is b
